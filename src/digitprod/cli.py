@@ -25,6 +25,7 @@ parse error, 3 convergence hypothesis violation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import re
@@ -80,9 +81,12 @@ def parse_complex(text: str, position: int = 0) -> complex:
         raise ParseError("empty complex literal", position)
     normalized = _IMAG_UNIT.sub("1i", s).replace("i", "j")
     try:
-        return complex(normalized)
+        z = complex(normalized)
     except ValueError:
         raise ParseError(f"bad complex literal {text!r}", position) from None
+    if not cmath.isfinite(z):
+        raise ParseError(f"non-finite complex literal {text!r}", position)
+    return z
 
 
 def _fmt_real(x: float) -> str:

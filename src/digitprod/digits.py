@@ -3,11 +3,18 @@
 Zero is represented by the empty digit string, so every statistic is 0 at
 n = 0.  Digits are kept least-significant-first; rendering most-significant
 -first is an I/O concern.
+
+Every statistic is additive over digit levels: with P = B**j,
+stat(h*P + r) = stat(h) + stat of r padded to j digits, for h >= 1.  The
+array form ``digit_stat_block`` uses this to build the stats of a dense range
+from two cached per-level tables of P entries each, instead of one pass over
+the array per digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,10 +118,12 @@ def digit_stat(n: int, stat: DigitStat, base: int) -> int:
     raise ValidationError(f"unknown digit statistic {stat.kind!r}")
 
 
-def digit_stat_block(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
-    """Vectorized digit_stat over an int64 array of nonnegative n."""
-    base = check_base(base)
-    stat.check_for_base(base)
+def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
+    """digit_stat over an int64 array, one full-array pass per digit.
+
+    Serves sparse inputs, builds the level tables and is the reference the
+    level-at-a-time path is tested against.
+    """
     x = np.asarray(ns, dtype=np.int64).copy()
     out = np.zeros(x.shape, dtype=np.int64)
     if stat.kind == "count":
@@ -141,6 +150,71 @@ def digit_stat_block(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
     else:
         raise ValidationError(f"unknown digit statistic {stat.kind!r}")
     return out
+
+
+_TABLE_LIMIT = 4096
+
+
+@lru_cache(maxsize=None)
+def _level_tables(stat: DigitStat, base: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(P, natural, padded) for P = B**j, the largest power of B <= 4096.
+
+    natural[r] is stat(r); padded[r] is the stat of r written with exactly j
+    digits, i.e. as the low digit level of some n >= P.  Leading zeros count
+    only for `length` and for counts that include digit 0.  Both tables are
+    read-only, since every caller shares them.
+    """
+    p, j = base, 1
+    while p * base <= _TABLE_LIMIT:
+        p, j = p * base, j + 1
+    r = np.arange(p, dtype=np.int64)
+    natural = _per_digit_stats(r, stat, base)
+    if stat.kind == "length":
+        padded = np.full(p, j, dtype=np.int64)
+    elif stat.kind == "count" and 0 in stat.digits:
+        padded = natural + (j - _per_digit_stats(r, DigitStat.length(), base))
+    else:
+        padded = natural
+    natural.flags.writeable = False
+    padded.flags.writeable = False
+    return p, natural, padded
+
+
+def _range_stats(s: int, e: int, stat: DigitStat, base: int) -> np.ndarray:
+    """stat over [s, e), as an outer sum of the high digits and the low level.
+
+    n = h*P + r has stat(n) = stat(h) + padded[r] for h >= 1, and natural[r]
+    for h = 0.  The high stats recurse over about (e - s)/P values.  The
+    result may be a view of a cached table when e <= P.
+    """
+    p, natural, padded = _level_tables(stat, base)
+    if e <= p:
+        return natural[s:e]
+    hs, he = s // p, -(-e // p)
+    grid = _range_stats(hs, he, stat, base)[:, None] + padded[None, :]
+    if hs == 0:
+        grid[0] = natural
+    return grid.ravel()[s - hs * p : e - hs * p]
+
+
+def digit_stat_block(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
+    """Vectorized digit_stat over an int64 array of nonnegative n.
+
+    A dense input, one whose values span fewer than twice as many integers
+    as it holds (every block, profile and check in this package), is computed
+    a digit level at a time over its range and gathered at the inputs; see
+    _range_stats.  Sparse inputs, and bases above 4096 (whose one-digit level
+    would not fit a table), take one full-array pass per digit.  The result
+    is always a new array.
+    """
+    base = check_base(base)
+    stat.check_for_base(base)
+    x = np.asarray(ns, dtype=np.int64)
+    if x.size and base <= _TABLE_LIMIT:
+        lo, hi = int(x.min()), int(x.max())
+        if lo >= 0 and hi - lo < 2 * x.size:
+            return _range_stats(lo, hi + 1, stat, base)[x - lo]
+    return _per_digit_stats(x, stat, base)
 
 
 def thue_morse(n: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 from threading import Lock
@@ -492,20 +492,31 @@ class VerifyReport:
 
 
 class _EvalCache:
+    """Product evaluations shared by the claims of one run, one per (spec, N).
+
+    The first caller to miss on a key evaluates it; callers that arrive while
+    it runs wait on the same future, and its exception reaches all of them.
+    """
+
     def __init__(self):
-        self._data: dict = {}
+        self._futures: dict[tuple[ProductSpec, int], Future] = {}
         self._lock = Lock()
 
     def get(self, spec: ProductSpec, n_terms: int, threads: int) -> EvalResult:
         key = (spec, n_terms)
         with self._lock:
-            hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        result = evaluate_abel(spec, n_terms, extrapolate=True, threads=threads)
-        with self._lock:
-            self._data[key] = result
-        return result
+            future = self._futures.get(key)
+            owner = future is None
+            if owner:
+                future = self._futures[key] = Future()
+        if owner:
+            try:
+                result = evaluate_abel(spec, n_terms, extrapolate=True, threads=threads)
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+            future.set_result(result)
+        return future.result()
 
 
 def verify_claim(

@@ -69,7 +69,14 @@ def log_ratio_term(base: int, residue: int, n: int) -> float:
 
 
 def _log_ratio_block(base: int, residue: int, ns: np.ndarray) -> np.ndarray:
-    return -np.log1p(1.0 / (base * ns + residue))
+    # in place in one float array: the same values as
+    # -log1p(1 / (B*n + k)) without its temporaries, exact while B*n < 2**53
+    x = np.multiply(ns, base, dtype=np.float64)
+    x += residue
+    np.reciprocal(x, out=x)
+    np.log1p(x, out=x)
+    np.negative(x, out=x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -220,8 +227,8 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
         u = seq.block(ns)
         usum = complex(u.sum())
         if abel:
-            cum = np.cumsum(u)
-            shifted = cum - u  # prefix sums within the block, F(n) - F(s)
+            shifted = np.cumsum(u)
+            shifted -= u  # prefix sums within the block, F(n) - F(s)
         per_factor = []
         for f in factors:
             a = _log_ratio_block(base, f.residue, ns)
@@ -231,7 +238,7 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
                     d[0] = 0.0  # n = 1 is handled by the boundary term
                 else:
                     d[0] = log_ratio_term(base, f.residue, s - 1) - a[0]
-                d[1:] = a[:-1] - a[1:]
+                np.subtract(a[:-1], a[1:], out=d[1:])
                 i0 = 1 if s == 1 else 0
                 sum_d = complex(d[i0:].sum())
                 wsum = complex(np.dot(shifted[i0:], d[i0:]))

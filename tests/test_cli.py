@@ -250,6 +250,19 @@ def test_cli_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("literal", ["nan", "inf", "1e999", "nan+1i"])
+def test_cli_non_finite_literals_exit_2(capsys, literal):
+    with pytest.raises(ParseError):
+        parse_complex(literal)
+    for spec in (
+        f"base=2; exponent=thue_morse; factors=1:{literal}",
+        f"base=2; exponent=digit_sum_pow({literal}); factors=1",
+    ):
+        code, out = run(capsys, ["eval", "--spec", spec, "--terms", "1000"])
+        assert code == 2
+        assert out == ""
+
+
 def test_cli_summatory_csv(capsys):
     code, out = run(
         capsys,

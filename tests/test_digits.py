@@ -12,7 +12,9 @@ from digitprod.digits import (
     thue_morse,
     thue_morse_block,
 )
+from digitprod.digits import _per_digit_stats
 from digitprod.errors import ValidationError
+from digitprod.sequences import DigitStatPower
 
 bases = st.integers(min_value=2, max_value=16)
 naturals = st.integers(min_value=0, max_value=10**15)
@@ -102,21 +104,103 @@ def test_odd_base_parity(n, b):
     assert (-1) ** (s % 2) == (-1) ** (n % 2)
 
 
+TEST_BASES = (2, 3, 4, 5, 6, 7, 10)
+
+
+def _every_stat(b):
+    return (
+        DigitStat.count(0),
+        DigitStat.count(1),
+        DigitStat.count(b - 1),
+        DigitStat.count_set({0, b - 1}),
+        DigitStat.count_set(set(range(1, b))),
+        DigitStat.digit_sum(),
+        DigitStat.length(),
+    )
+
+
+def _level(b):
+    # P = b**j, the largest power of b <= 4096: the width of one digit level
+    p = b
+    while p * b <= 4096:
+        p *= b
+    return p
+
+
+def _scalar_block(ns, stat, b):
+    flat = [digit_stat(int(n), stat, b) for n in ns.ravel()]
+    return np.array(flat, dtype=np.int64).reshape(ns.shape)
+
+
+def _assert_matches_scalar(ns, b):
+    for stat in _every_stat(b):
+        block = digit_stat_block(ns, stat, b)
+        assert block.dtype == np.int64 and block.shape == ns.shape
+        assert np.array_equal(block, _scalar_block(ns, stat, b)), (b, stat, ns[:3])
+
+
 def test_block_matches_scalar():
-    ns = np.arange(0, 5000, dtype=np.int64)
-    for b in (2, 3, 7):
-        for stat in (
-            DigitStat.count(0),
-            DigitStat.count(b - 1),
-            DigitStat.count_set(set(range(1, b))),
-            DigitStat.digit_sum(),
-            DigitStat.length(),
+    # contiguous ranges from 0 and across the level edges P-1, P, P+1, k*P, P**2
+    for b in TEST_BASES:
+        p = _level(b)
+        for s, e in (
+            (0, p + 50),
+            (p - 40, p + 40),
+            (p - 2, 3 * p + 2),
+            (2 * p - 5, 2 * p + 5),
+            (b * p - 5, b * p + 5),
+            (7 * p - 5, 7 * p + 5),
+            (p * p - 30, p * p + 30),
         ):
-            block = digit_stat_block(ns, stat, b)
-            scalar = np.array([digit_stat(int(n), stat, b) for n in ns])
-            assert (block == scalar).all()
+            _assert_matches_scalar(np.arange(s, e, dtype=np.int64), b)
+    ns = np.arange(0, 5000, dtype=np.int64)
     tm = thue_morse_block(ns)
     assert (tm == np.array([thue_morse(int(n)) for n in ns])).all()
+
+
+@pytest.mark.parametrize("b", TEST_BASES)
+def test_block_matches_scalar_below_2_53_over_base(b):
+    top = 2**53 // b
+    _assert_matches_scalar(np.arange(top - 700, top, dtype=np.int64), b)
+
+
+@pytest.mark.parametrize("b", TEST_BASES)
+def test_block_single_and_empty_inputs(b):
+    p = _level(b)
+    for n in (0, 1, p - 1, p, p + 1, p * p, 2**53 // b - 1):
+        _assert_matches_scalar(np.array([n], dtype=np.int64), b)
+    for stat in _every_stat(b):
+        empty = digit_stat_block(np.array([], dtype=np.int64), stat, b)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("b", TEST_BASES)
+def test_block_unsorted_dense_and_sparse_inputs(b):
+    rng = np.random.default_rng(b)
+    p = _level(b)
+    shuffled = rng.permutation(np.arange(p - 100, 2 * p + 100, dtype=np.int64))
+    repeated = rng.integers(p * p - 500, p * p + 500, size=700, dtype=np.int64)
+    two_d = rng.permutation(np.arange(p - 100, p + 100, dtype=np.int64)).reshape(2, -1)
+    sparse = rng.integers(0, 2**53 // b, size=300, dtype=np.int64)
+    for ns in (shuffled, repeated, two_d, sparse):
+        _assert_matches_scalar(ns, b)
+
+
+def test_block_result_does_not_alias_the_level_tables():
+    ns = np.arange(0, 20, dtype=np.int64)
+    stat = DigitStat.digit_sum()
+    first = digit_stat_block(ns, stat, 3)
+    expected = first.copy()
+    first[:] = -1
+    assert np.array_equal(digit_stat_block(ns, stat, 3), expected)
+
+
+def test_power_block_matches_per_digit_loop():
+    seq = DigitStatPower(3, 1j, DigitStat.digit_sum())
+    ns = np.arange(3**12 + 5, 3**12 + 5 + (1 << 19), dtype=np.int64)
+    stats = _per_digit_stats(ns, seq.stat, 3)
+    reference = seq._powers_up_to(int(stats.max()))[stats]
+    assert np.array_equal(seq.block(ns), reference)
 
 
 def test_validation():

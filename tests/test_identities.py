@@ -1,9 +1,16 @@
 import math
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from digitprod import identities
 from digitprod.errors import ValidationError
 from digitprod.identities import (
+    _EvalCache,
     catalog,
     claim_by_name,
     estimate_qr,
@@ -76,6 +83,54 @@ def test_verify_all_at_default_terms():
         (r.name, r.rel_err) for r in summary.reports if not r.passed
     ]
     assert summary.worst_rel_err <= 5e-4
+
+
+def _count_evaluations(monkeypatch, failing_spec=None):
+    calls = Counter()
+    lock = threading.Lock()
+
+    def counted(spec, n_terms, **kwargs):
+        with lock:
+            calls[(spec, n_terms)] += 1
+        time.sleep(0.005)  # widen the window in which a second thread misses
+        if spec == failing_spec:
+            raise RuntimeError("evaluation failed")
+        return evaluate_abel(spec, n_terms, **kwargs)
+
+    monkeypatch.setattr(identities, "evaluate_abel", counted)
+    return calls
+
+
+def test_verify_all_evaluates_each_distinct_spec_once(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            summary = runner.submit(verify_all, 3000, threads=4).result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    distinct = {(part.spec, 3000) for c in catalog() for part in c.parts}
+    assert summary.total == len(catalog())
+    assert set(calls) == distinct
+    assert set(calls.values()) == {1}
+
+
+def test_failed_evaluation_reaches_every_claim_sharing_it(monkeypatch):
+    names = ("roots_unity_sin_b5", "roots_unity_cos_b5", "sigma_first_b5", "sigma_second_b5")
+    claims = [claim_by_name(n) for n in names]
+    spec = claims[0].parts[0].spec
+    assert all(c.parts[0].spec == spec for c in claims)
+    calls = _count_evaluations(monkeypatch, failing_spec=spec)
+    cache = _EvalCache()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(verify_claim, c, 3000, cache=cache) for c in claims]
+        for future in futures:
+            with pytest.raises(RuntimeError, match="evaluation failed"):
+                future.result(timeout=120)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        verify_claim(claims[0], 3000, cache=cache)
+    assert calls == {(spec, 3000): 1}
 
 
 def test_naive_and_abel_agree_on_catalog_specs():
