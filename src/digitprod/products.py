@@ -7,19 +7,23 @@ start index) and one exponent sequence u; it denotes
 
 Each factor's log-series is summed over blocks with all logs taken of
 positive rationals, so complex exponents only ever multiply real logs and no
-branch cuts arise.  Two summation paths are provided:
+branch cuts arise.  There is one summation path, the truncated log-series;
+two evaluators read it:
 
-* ``evaluate_direct``: plain truncation of the log-series.
-* ``evaluate_abel``: summation by parts.  The partial sums F(n) of the
-  exponent sequence turn the series into decaying-difference form and the
-  boundary term F(N)*a_N yields an error estimate.  Optionally the tail is
-  fitted from the partial sums one digit level apart (N/B and N): it
+* ``evaluate_direct``: plain truncation, with the final block's
+  contribution as an indicative error.
+* ``evaluate_abel``: the same truncated sum, read through summation by
+  parts.  Over [1, N) that is an exact rearrangement, so it changes no value;
+  it supplies the error bound, from the boundary term F(N)*a_N with F the
+  partial sums of the exponent sequence, and the tail model.  Optionally the
+  tail is fitted from the sums one digit level apart (N/B and N): it
   contracts by the ratio lambda = sum(v)/B per level, with modulus
   B**(alpha - 1), or by 1/B when the partial sums stay bounded; the fitted
   tail is subtracted.
 
 Truncation indices are rounded up to a multiple of B so every residue class
-sees the same number of blocks.  Block sums are reduced in a fixed order
+sees the same number of blocks, and capped so that B*N <= 2**53, where every
+index B*n + k is still an exact float.  Block sums are reduced in a fixed order
 with exact float summation, so results are bit-reproducible regardless of
 the thread count.
 """
@@ -151,11 +155,19 @@ class EvalResult:
         }
 
 
+_MAX_INDEX = 1 << 53  # B*n + k stays exact in float64 up to here
+
+
 def _round_up_terms(n_terms: int, base: int) -> int:
     # balanced truncation: same number of blocks per residue class
-    if n_terms < base:
-        return n_terms
-    return -(-n_terms // base) * base
+    n = n_terms if n_terms < base else -(-n_terms // base) * base
+    if base * n > _MAX_INDEX:
+        top = _MAX_INDEX // (base * base) * base
+        raise ValidationError(
+            f"n_terms = {n_terms} breaks the cap B*N <= 2**53 "
+            f"(at most {top} for base {base})"
+        )
+    return n
 
 
 def _block_edges(n_terms: int, snapshot: int | None) -> list[int]:
@@ -181,7 +193,7 @@ def _map_blocks(worker, spans, threads: int):
 class _FactorTotals:
     sum_at: dict[int, complex]  # truncation index -> factor log-sum
     last_a: dict[int, float]  # truncation index -> a_{N-1}
-    last_block: complex = 0.0  # final block's direct contribution (naive mode)
+    last_block: complex  # final block's contribution
 
 
 @dataclass
@@ -192,8 +204,13 @@ class _EngineOut:
 
 
 def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
-            abel: bool, threads: int) -> _EngineOut:
-    """Per-factor log-sums over [start_k, N), optionally also at a snapshot."""
+            threads: int) -> _EngineOut:
+    """Per-factor log-sums over [start_k, N), optionally also at a snapshot.
+
+    Each block contributes sum u(n) and, per factor, sum u(n) * a(n, k) and
+    its last a(n, k); exact carries of these give the sums at N and at the
+    snapshot, the partial sums F of u at every block edge, and a_{N-1}.
+    """
     base, seq, factors = spec.base, spec.seq, spec.factors
     u0 = seq.value(0)
     marks = [n_terms] if snapshot is None else [snapshot, n_terms]
@@ -225,28 +242,11 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
     def worker(s: int, e: int):
         ns = np.arange(s, e, dtype=np.int64)
         u = seq.block(ns)
-        usum = complex(u.sum())
-        if abel:
-            shifted = np.cumsum(u)
-            shifted -= u  # prefix sums within the block, F(n) - F(s)
         per_factor = []
         for f in factors:
             a = _log_ratio_block(base, f.residue, ns)
-            if abel:
-                d = np.empty_like(a)
-                if s == 1:
-                    d[0] = 0.0  # n = 1 is handled by the boundary term
-                else:
-                    d[0] = log_ratio_term(base, f.residue, s - 1) - a[0]
-                np.subtract(a[:-1], a[1:], out=d[1:])
-                i0 = 1 if s == 1 else 0
-                sum_d = complex(d[i0:].sum())
-                wsum = complex(np.dot(shifted[i0:], d[i0:]))
-                a_first = float(a[0]) if s == 1 else 0.0
-                per_factor.append((sum_d, wsum, float(a[-1]), a_first))
-            else:
-                per_factor.append((complex(np.dot(u, a)), float(a[-1])))
-        return usum, per_factor
+            per_factor.append((complex(np.dot(u, a)), float(a[-1])))
+        return complex(u.sum()), per_factor
 
     results = _map_blocks(worker, spans, threads)
     usums = [r[0] for r in results]
@@ -263,29 +263,14 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
     corr_at = {m: corrections(m) for m in marks}
     totals = []
     for j in range(len(factors)):
+        dots = [res[1][j][0] for res in results]
         sum_at: dict[int, complex] = {}
         last_a: dict[int, float] = {}
-        last_block = complex(0.0)
-        if abel:
-            a1 = results[0][1][j][3]
-            contribs = []
-            for i, (_, per_factor) in enumerate(results):
-                sum_d, wsum, _, _ = per_factor[j]
-                contribs.append(carries[i] * sum_d + wsum)
-            for m in marks:
-                upto = edges.index(m)
-                core = _fsum_c(contribs[:upto])
-                alast = results[upto - 1][1][j][2]
-                sum_at[m] = core - u0 * a1 + f_at[m] * alast + corr_at[m][j]
-                last_a[m] = alast
-        else:
-            dots = [res[1][j][0] for res in results]
-            for m in marks:
-                upto = edges.index(m)
-                sum_at[m] = _fsum_c(dots[:upto]) + corr_at[m][j]
-                last_a[m] = results[upto - 1][1][j][1]
-            last_block = dots[-1]
-        totals.append(_FactorTotals(sum_at, last_a, last_block))
+        for m in marks:
+            upto = edges.index(m)
+            sum_at[m] = _fsum_c(dots[:upto]) + corr_at[m][j]
+            last_a[m] = results[upto - 1][1][j][1]
+        totals.append(_FactorTotals(sum_at, last_a, dots[-1]))
     return _EngineOut(totals, f_at, f_edge_max)
 
 
@@ -312,7 +297,7 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
     if n_terms < 0:
         raise ValidationError(f"n_terms must be nonnegative, got {n_terms}")
     n = _round_up_terms(int(n_terms), spec.base)
-    out = _engine(spec, n, None, abel=False, threads=threads)
+    out = _engine(spec, n, None, threads=threads)
     log_value = _combine(spec, out, n)
     err = abs(
         _fsum_c(
@@ -329,18 +314,21 @@ def evaluate_abel(
     threads: int = 1,
     profile: RecursionProfile | None = None,
 ) -> EvalResult:
-    """Evaluate via summation by parts, optionally with tail extrapolation.
+    """Evaluate the truncated sum with a summation-by-parts error bound.
 
-    Requires the exponent sequence to admit a recursion profile over the
-    product's base with |sum v(k)| < B (raises ConvergenceHypothesisViolated
-    otherwise, before any series work).  With ``extrapolate`` the tail is
-    modeled as c * N**e, where e = alpha - 1 when |sum v(k)| > 1 and e = -1
-    when the partial sums are bounded or grow only logarithmically; the
-    fitted tail is subtracted and its magnitude dominates the error estimate.
+    The value at N is the direct sum; summation by parts bounds what lies
+    beyond it by the boundary term F(N)*a_{N-1}.  Requires the exponent
+    sequence to admit a recursion profile over the product's base with
+    |sum v(k)| < B (raises ConvergenceHypothesisViolated otherwise, before any
+    series work).  With ``extrapolate`` the tail is modeled as c * N**e,
+    where e = alpha - 1 when |sum v(k)| > 1 and e = -1 when the partial sums
+    are bounded or grow only logarithmically; the fitted tail is subtracted
+    and its magnitude dominates the error estimate.
     """
     base = spec.base
     if n_terms < base:
         raise ValidationError(f"n_terms must be >= base, got {n_terms}")
+    n = _round_up_terms(int(n_terms), base)
     if profile is None:
         profile = recursion_profile(
             spec.seq, limit=max(4096, base * (base + 1)), base=base
@@ -351,7 +339,6 @@ def evaluate_abel(
         )
     profile.require_unit_bounds()
 
-    n = _round_up_terms(int(n_terms), base)
     # snapshot one digit level below N: the tail contracts by the complex
     # ratio lambda = sum(v)/B per level (modulus B**(alpha-1)); when the
     # partial sums stay bounded or grow only logarithmically the tail is
@@ -360,7 +347,7 @@ def evaluate_abel(
     use_extrap = extrapolate and base <= prev < n
     snapshot = prev if use_extrap else None
 
-    out = _engine(spec, n, snapshot, abel=True, threads=threads)
+    out = _engine(spec, n, snapshot, threads=threads)
     log_n = _combine(spec, out, n)
 
     if not use_extrap:

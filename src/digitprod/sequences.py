@@ -334,9 +334,9 @@ def recursion_profile(
 
     ``base`` defaults to the sequence's own base but may differ (a sequence
     can satisfy the recursion in a higher base as well).  Raises
-    NoNonzeroSeed when every candidate seed value vanishes, HypothesisFailed
-    when the recursion breaks, and ConvergenceHypothesisViolated when
-    |sum v(k)| >= base.
+    ValidationError when a value in the window is not finite, NoNonzeroSeed
+    when every candidate seed value vanishes, HypothesisFailed when the
+    recursion breaks, and ConvergenceHypothesisViolated when |sum v(k)| >= base.
     """
     b = check_base(base if base is not None else seq.base)
     limit = int(limit)
@@ -345,7 +345,14 @@ def recursion_profile(
     # reading v(0..B-1) off a seed n0 >= B needs values up to B*n0 + B - 1
     limit = max(limit, b * (b + 1))
 
-    u = seq.block(np.arange(limit + 1, dtype=np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = seq.block(np.arange(limit + 1, dtype=np.int64))
+    not_finite = np.flatnonzero(~np.isfinite(u))
+    if not_finite.size:
+        n_bad = int(not_finite[0])
+        raise ValidationError(
+            f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
+        )
 
     lo = max(b, int(seed_start) if seed_start is not None else b)
     hi = min((limit - b + 1) // b, b + 64 * b)

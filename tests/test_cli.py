@@ -239,6 +239,32 @@ def test_cli_table_exceeding_unit_bound_exit_3(capsys):
     assert code == 3
 
 
+def test_cli_overflowing_table_exit_2(capsys):
+    code, _ = run(
+        capsys,
+        ["eval", "--spec", "base=3; exponent=table(1e308,1); factors=1:1",
+         "--terms", "1000"],
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--spec", "base=2; exponent=thue_morse; factors=1:1"],
+        ["eval", "--method", "naive", "--spec", "base=2; exponent=thue_morse; factors=1:1"],
+        ["verify", "--claim", "woods_robbins"],
+        ["verify-all"],
+        ["estimate", "qr"],
+    ],
+    ids=["eval", "eval-naive", "verify", "verify-all", "estimate"],
+)
+def test_cli_terms_beyond_exact_index_cap_exit_2(capsys, argv):
+    code = main([*argv, "--terms", str(2**53 // 2 + 1)])
+    assert code == 2
+    assert "2**53" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(capsys):
     code, _ = run(capsys, ["eval", "--terms", "100"])
     assert code == 2

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from digitprod.digits import DigitStat
 from digitprod.errors import ConvergenceHypothesisViolated, DomainError, ValidationError
+from digitprod.identities import catalog
 from digitprod.products import (
     Factor,
     ProductSpec,
@@ -111,12 +112,26 @@ def test_abel_agrees_with_naive_within_err():
         assert abs(a.log_value - d.log_value) <= a.err_est + d.err_est + 1e-12
 
 
-def test_abel_without_extrapolation_matches_naive_partial():
-    spec = ProductSpec(2, [Factor(1, 1.0)], DigitStatPower(2, 0.5, DigitStat.digit_sum()))
-    a = evaluate_abel(spec, 10**5, extrapolate=False)
-    d = evaluate_direct(spec, 10**5)
+def _distinct_catalog_specs():
+    seen = {}
+    for claim in catalog():
+        for i, part in enumerate(claim.parts):
+            seen.setdefault(part.spec, f"{claim.name}-{i}")
+    return list(seen.items())
+
+
+CATALOG_SPECS = _distinct_catalog_specs()
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s, _ in CATALOG_SPECS], ids=[name for _, name in CATALOG_SPECS]
+)
+def test_abel_without_extrapolation_matches_naive_partial(spec):
+    # both evaluators read the same truncated sum: equal to the last bit
+    a = evaluate_abel(spec, 10**4, extrapolate=False)
+    d = evaluate_direct(spec, 10**4)
     assert a.method == "abel"
-    assert abs(a.log_value - d.log_value) <= 1e-11
+    assert a.log_value == d.log_value
 
 
 def test_eval_result_value_is_exp_of_log():
@@ -200,8 +215,26 @@ def test_factor_validation():
 
 
 def test_threads_do_not_change_bits():
+    # above 2**20 terms: several full blocks, the trailing block and, when
+    # extrapolating, the snapshot edge one digit level below N
     spec = ProductSpec(5, [Factor(k, 1 - 1j**k) for k in (1, 2, 3)], PeriodicPower(5, 4, 1))
-    r1 = evaluate_abel(spec, 3 * 10**5, threads=1)
-    r4 = evaluate_abel(spec, 3 * 10**5, threads=4)
-    assert r1.log_value == r4.log_value
-    assert r1.err_est == r4.err_est
+    n = (1 << 21) + 7
+    evaluators = (
+        lambda threads: evaluate_direct(spec, n, threads=threads),
+        lambda threads: evaluate_abel(spec, n, extrapolate=False, threads=threads),
+        lambda threads: evaluate_abel(spec, n, threads=threads),
+    )
+    for evaluate in evaluators:
+        r1, r4 = evaluate(1), evaluate(4)
+        assert r1.log_value == r4.log_value
+        assert r1.err_est == r4.err_est
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_terms_capped_so_every_index_is_exact(base):
+    spec = ProductSpec(base, [Factor(1, 1.0)], thue_morse_seq())
+    n = 2**53 // base + 1
+    with pytest.raises(ValidationError, match=r"2\*\*53"):
+        evaluate_direct(spec, n)
+    with pytest.raises(ValidationError, match=r"2\*\*53"):
+        evaluate_abel(spec, n)

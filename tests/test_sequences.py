@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from digitprod.errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
     NoNonzeroSeed,
+    ValidationError,
 )
 from digitprod.sequences import (
     DigitStatPower,
@@ -140,6 +142,16 @@ def test_profile_hypothesis_failure():
     # (-1)**n over an even base cannot factor through the digit recursion
     with pytest.raises(HypothesisFailed):
         recursion_profile(SignedResidue(2, (1.0, -1.0)), 4096)
+
+
+def test_profile_rejects_overflowing_values():
+    # 1e308 * 1e308 overflows: a validation error, not a failed recursion,
+    # and no floating-point warning on the way
+    seq = StronglyMultiplicative(3, (1e308, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not finite"):
+            recursion_profile(seq, 4096)
 
 
 def test_profile_unique_across_seeds():
