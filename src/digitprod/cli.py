@@ -30,7 +30,6 @@ import dataclasses
 import json
 import re
 import sys
-from os import cpu_count
 
 from .digits import DigitStat, digit_stat, digits_of, thue_morse
 from .errors import (
@@ -283,23 +282,16 @@ def _spec_from_args(args) -> ProductSpec | ExponentSeq:
     raise ValidationError("missing --spec or --spec-file")
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise ValidationError(f"threads must be >= 0, got {threads}")
-    return threads if threads > 0 else 0  # 0 = auto, resolved downstream
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_eval(args) -> int:
     spec = _require_product(_spec_from_args(args))
-    threads = _resolve_threads(args.threads)
     if args.method == "naive":
-        result = evaluate_direct(spec, args.terms, threads=threads)
+        result = evaluate_direct(spec, args.terms, threads=args.threads)
     else:
         result = evaluate_abel(
-            spec, args.terms, extrapolate=(args.method != "abel"), threads=threads
+            spec, args.terms, extrapolate=(args.method != "abel"), threads=args.threads
         )
     payload = result.to_json_dict()
     if args.output == "plain":
@@ -318,7 +310,7 @@ def _cmd_verify(args) -> int:
     claim = claim_by_name(args.claim)
     if args.tol is not None:
         claim = dataclasses.replace(claim, tol=args.tol)
-    report = verify_claim(claim, args.terms, threads=_resolve_threads(args.threads))
+    report = verify_claim(claim, args.terms, threads=args.threads)
     if args.output == "plain":
         _print_verify_line(report)
     else:
@@ -336,8 +328,7 @@ def _print_verify_line(report) -> None:
 
 
 def _cmd_verify_all(args) -> int:
-    threads = args.threads if args.threads > 0 else min(8, cpu_count() or 1)
-    summary = verify_all(args.terms, threads=threads)
+    summary = verify_all(args.terms, threads=args.threads)
     if args.output == "json":
         _emit_json(
             {
@@ -388,7 +379,7 @@ def _cmd_summatory(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.what.lower() != "qr":
         raise ValidationError(f"unknown estimate target {args.what!r}")
-    report = estimate_qr(args.terms, threads=_resolve_threads(args.threads))
+    report = estimate_qr(args.terms, threads=args.threads)
     if args.output == "plain":
         for key in ("Q", "R", "product_check"):
             print(f"{key}={report[key]!r}")

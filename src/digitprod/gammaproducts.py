@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, fsum, log, pi, sqrt
+from math import comb, fsum, pi, sqrt
 
 import numpy as np
 
@@ -29,37 +29,12 @@ __all__ = [
     "verify_alternating_products",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients (double precision set)
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for real x > 0 via a fixed Lanczos rational approximation."""
+    """log Gamma(x) for real x > 0 (``math.lgamma``)."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument away from the poles
-        return math.log(pi / math.sin(pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 @dataclass(frozen=True)
@@ -138,12 +113,6 @@ def alternating_pair_quotient(base: int, residue: int) -> GammaQuotient:
     )
 
 
-def _central_binomial_log(b: int) -> float:
-    if b <= 61:
-        return log(comb(b - 1, (b - 1) // 2))
-    return log_gamma(float(b)) - 2.0 * log_gamma((b + 1) / 2.0)
-
-
 @dataclass(frozen=True)
 class OddBaseProducts:
     even_k: float  # alternating product over even residues, n >= 1
@@ -160,9 +129,11 @@ def odd_base_products(base: int) -> OddBaseProducts:
     b = int(base)
     if b % 2 == 0 or b < 3:
         raise DomainError(f"base must be odd and >= 3, got {b}")
-    log_c = _central_binomial_log(b)
-    even_k = math.exp(log(pi) + 0.5 * log(b) + log_c - b * log(2.0))
-    odd_k = math.exp((b - 1) * log(2.0) - 0.5 * log(b) - log_c)
+    m = (b - 1) // 2
+    # C(B-1, (B-1)/2) / 2**(B-1) as one correctly rounded integer quotient
+    ratio = comb(2 * m, m) / 4**m
+    even_k = pi * sqrt(b) * ratio / 2.0
+    odd_k = 1.0 / (sqrt(b) * ratio)
     return OddBaseProducts(even_k, odd_k, even_k * odd_k)
 
 

@@ -6,6 +6,10 @@ carriers for sine/cosine exponent pairs: the sine product is a real part of
 the complex log-sum and the cosine product an imaginary part, so one
 evaluation serves both members of a pair (and their squared variants).
 
+``verify_all`` lists the distinct (spec, N) part evaluations of the claims it
+checks, evaluates each once (spread over threads with ``map_ordered``) and
+builds every claim's report from those results.
+
 ``estimate_qr`` computes the two classical open-valued products over the
 +-1 parity-of-binary-ones exponent: Q over (2n)/(2n+1) from n >= 1, and R
 over (4n+1)(4n+2)/((4n)(4n+3)).  No closed form is known for either; the
@@ -17,10 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
-from threading import Lock
 
 import numpy as np
 
@@ -34,6 +36,8 @@ from .products import (
     evaluate_abel,
     evaluate_direct,
     log_ratio_term,
+    map_ordered,
+    resolve_threads,
 )
 from .sequences import DigitStatPower, PeriodicPower, thue_morse_seq
 
@@ -491,49 +495,48 @@ class VerifyReport:
         }
 
 
-class _EvalCache:
-    """Product evaluations shared by the claims of one run, one per (spec, N).
+def _part_keys(
+    claims: list[IdentityClaim], n_terms: int | None
+) -> list[tuple[ProductSpec, int]]:
+    """The distinct (spec, N) evaluations of the claims' parts, in order."""
+    keys: dict[tuple[ProductSpec, int], None] = {}  # an insertion-ordered set
+    for claim in claims:
+        n = int(n_terms) if n_terms is not None else claim.cost_hint
+        for part in claim.parts:
+            keys[(part.spec, n)] = None
+    return list(keys)
 
-    The first caller to miss on a key evaluates it; callers that arrive while
-    it runs wait on the same future, and its exception reaches all of them.
-    """
 
-    def __init__(self):
-        self._futures: dict[tuple[ProductSpec, int], Future] = {}
-        self._lock = Lock()
-
-    def get(self, spec: ProductSpec, n_terms: int, threads: int) -> EvalResult:
-        key = (spec, n_terms)
-        with self._lock:
-            future = self._futures.get(key)
-            owner = future is None
-            if owner:
-                future = self._futures[key] = Future()
-        if owner:
-            try:
-                result = evaluate_abel(spec, n_terms, extrapolate=True, threads=threads)
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
-            future.set_result(result)
-        return future.result()
+def _evaluate_timed(
+    key: tuple[ProductSpec, int], threads: int
+) -> tuple[EvalResult, float]:
+    spec, n = key
+    t0 = time.perf_counter()
+    result = evaluate_abel(spec, n, extrapolate=True, threads=threads)
+    return result, time.perf_counter() - t0
 
 
 def verify_claim(
     claim: IdentityClaim,
     n_terms: int | None = None,
     threads: int = 1,
-    cache: _EvalCache | None = None,
+    results: dict | None = None,
 ) -> VerifyReport:
-    """Evaluate a claim's parts and compare against its closed form."""
+    """Evaluate a claim's parts and compare against its closed form.
+
+    ``results`` maps (spec, N) to an (EvalResult, seconds) pair for parts
+    evaluated already; without it each distinct part is evaluated here.  The
+    report's ``seconds`` is the sum of its distinct parts' evaluation times.
+    """
     n = int(n_terms) if n_terms is not None else claim.cost_hint
-    cache = cache or _EvalCache()
-    t0 = time.perf_counter()
+    keys = _part_keys([claim], n)
+    if results is None:
+        results = {key: _evaluate_timed(key, threads) for key in keys}
     total_log = complex(0.0)
     err_est = 0.0
     terms = 0
     for part in claim.parts:
-        res = cache.get(part.spec, n, threads)
+        res = results[(part.spec, n)][0]
         total_log += part.contribution(res.log_value)
         err_est += abs(part.coeff) * res.err_est
         terms = max(terms, res.terms)
@@ -550,7 +553,7 @@ def verify_claim(
         passed=rel_err <= claim.tol,
         tol=claim.tol,
         terms=terms,
-        seconds=time.perf_counter() - t0,
+        seconds=sum(results[key][1] for key in keys),
         err_est=err_est,
     )
 
@@ -578,9 +581,12 @@ def verify_all(
 ) -> VerifySummary:
     """Verify the whole catalog (or a named subset).
 
-    Claims run concurrently when threads > 1; shared product evaluations are
-    cached, and the report order always follows the catalog.
+    The distinct (spec, N) part evaluations of the selected claims are listed
+    up front and each runs once, spread over ``threads`` workers (0 means
+    min(8, CPUs)) with one thread inside each evaluation.  Reports follow the
+    catalog order and are bit-identical for any thread count.
     """
+    threads = resolve_threads(threads)
     claims = catalog()
     if names:
         wanted = set(names)
@@ -588,18 +594,11 @@ def verify_all(
         if unknown:
             raise ValidationError(f"unknown claims: {sorted(unknown)}")
         claims = [c for c in claims if c.name in wanted]
-    cache = _EvalCache()
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(
-                    lambda c: verify_claim(c, n_terms, threads=1, cache=cache),
-                    claims,
-                )
-            )
-    else:
-        reports = [verify_claim(c, n_terms, threads=1, cache=cache) for c in claims]
+    keys = _part_keys(claims, n_terms)
+    timed = map_ordered(lambda key: _evaluate_timed(key, 1), keys, threads)
+    results = dict(zip(keys, timed))
+    reports = [verify_claim(c, n_terms, results=results) for c in claims]
     return VerifySummary(
         reports=tuple(reports),
         passed_count=sum(1 for r in reports if r.passed),

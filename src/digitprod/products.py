@@ -50,6 +50,8 @@ __all__ = [
     "log_ratio_term",
     "evaluate_direct",
     "evaluate_abel",
+    "resolve_threads",
+    "map_ordered",
     "TelescopeReport",
     "telescoping_check",
     "SplitReport",
@@ -180,13 +182,27 @@ def _block_edges(n_terms: int, snapshot: int | None) -> list[int]:
     return sorted(edges)
 
 
-def _map_blocks(worker, spans, threads: int):
-    if threads == 0:
-        threads = min(8, cpu_count() or 1)
-    if threads <= 1 or len(spans) <= 1:
-        return [worker(s, e) for s, e in spans]
+def resolve_threads(threads: int) -> int:
+    """The worker count for a ``threads`` argument: 0 means min(8, CPUs).
+
+    Negative counts raise ValidationError.  ``evaluate_direct``,
+    ``evaluate_abel`` and ``identities.verify_all`` call this at entry, so a
+    bad count fails before any series work.
+    """
+    threads = int(threads)
+    if threads < 0:
+        raise ValidationError(f"threads must be >= 0, got {threads}")
+    return threads or min(8, cpu_count() or 1)
+
+
+def map_ordered(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, on a pool of ``threads`` workers when
+    threads > 1 and there is more than one item; results keep input order."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda se: worker(*se), spans))
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -239,16 +255,25 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
     edges = _block_edges(n_terms, snapshot)
     spans = list(zip(edges[:-1], edges[1:]))
 
-    def worker(s: int, e: int):
-        ns = np.arange(s, e, dtype=np.int64)
+    def worker(span: tuple[int, int]):
+        ns = np.arange(*span, dtype=np.int64)
         u = seq.block(ns)
+        # u is float64 or complex128; the columns of its (n, 1) or (n, 2)
+        # float view give the real (and imaginary) part of u . a, with no
+        # complex copy of a.  Each is a product into one float buffer and a
+        # pairwise sum, not a BLAS dot: a threaded BLAS dot leaves its own
+        # worker threads spinning after each call, which took the CPU from
+        # the threads of map_ordered
+        uv = u.view(np.float64).reshape(len(u), -1)
+        buf = np.empty(len(u))
         per_factor = []
         for f in factors:
             a = _log_ratio_block(base, f.residue, ns)
-            per_factor.append((complex(np.dot(u, a)), float(a[-1])))
+            dot = complex(*[np.multiply(a, col, out=buf).sum() for col in uv.T])
+            per_factor.append((dot, float(a[-1])))
         return complex(u.sum()), per_factor
 
-    results = _map_blocks(worker, spans, threads)
+    results = map_ordered(worker, spans, threads)
     usums = [r[0] for r in results]
 
     # F at block edges: F(1) = u(0), then running exact prefix sums
@@ -294,6 +319,7 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
     The error estimate is the magnitude of the final block's contribution;
     for conditionally convergent exponents it is only indicative.
     """
+    threads = resolve_threads(threads)
     if n_terms < 0:
         raise ValidationError(f"n_terms must be nonnegative, got {n_terms}")
     n = _round_up_terms(int(n_terms), spec.base)
@@ -312,31 +338,26 @@ def evaluate_abel(
     n_terms: int,
     extrapolate: bool = True,
     threads: int = 1,
-    profile: RecursionProfile | None = None,
 ) -> EvalResult:
     """Evaluate the truncated sum with a summation-by-parts error bound.
 
     The value at N is the direct sum; summation by parts bounds what lies
-    beyond it by the boundary term F(N)*a_{N-1}.  Requires the exponent
-    sequence to admit a recursion profile over the product's base with
+    beyond it by the boundary term F(N)*a_{N-1}.  The recursion profile is
+    taken from the exponent sequence over the product's base and must have
     |sum v(k)| < B (raises ConvergenceHypothesisViolated otherwise, before any
     series work).  With ``extrapolate`` the tail is modeled as c * N**e,
     where e = alpha - 1 when |sum v(k)| > 1 and e = -1 when the partial sums
     are bounded or grow only logarithmically; the fitted tail is subtracted
     and its magnitude dominates the error estimate.
     """
+    threads = resolve_threads(threads)
     base = spec.base
     if n_terms < base:
         raise ValidationError(f"n_terms must be >= base, got {n_terms}")
     n = _round_up_terms(int(n_terms), base)
-    if profile is None:
-        profile = recursion_profile(
-            spec.seq, limit=max(4096, base * (base + 1)), base=base
-        )
-    elif profile.base != base:
-        raise ValidationError(
-            f"profile base {profile.base} does not match product base {base}"
-        )
+    profile = recursion_profile(
+        spec.seq, limit=max(4096, base * (base + 1)), base=base
+    )
     profile.require_unit_bounds()
 
     # snapshot one digit level below N: the tail contracts by the complex

@@ -265,6 +265,22 @@ def test_cli_terms_beyond_exact_index_cap_exit_2(capsys, argv):
     assert "2**53" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--spec", "base=2; exponent=thue_morse; factors=1:1"],
+        ["verify", "--claim", "woods_robbins"],
+        ["verify-all"],
+        ["estimate", "qr"],
+    ],
+    ids=["eval", "verify", "verify-all", "estimate"],
+)
+def test_cli_negative_threads_exit_2(capsys, argv):
+    code = main([*argv, "--terms", "3000", "--threads", "-1"])
+    assert code == 2
+    assert "threads" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(capsys):
     code, _ = run(capsys, ["eval", "--terms", "100"])
     assert code == 2
@@ -346,13 +362,21 @@ def test_cli_verify_all_fails_under_truncation(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import digitprod
+
+    # the child imports the same package, installed or not
+    src = str(Path(digitprod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "digitprod", "digits", "--n", "13", "--base", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1101"

@@ -1,5 +1,5 @@
 import math
-from math import lgamma, pi
+from math import pi
 
 import numpy as np
 import pytest
@@ -23,12 +23,14 @@ def test_log_gamma_known_values():
     assert abs(log_gamma(6.0) - math.log(120.0)) <= 1e-13
 
 
-def test_log_gamma_against_stdlib():
-    # scaled error <= 1e-12 across [1e-3, 1e6]
-    for x in np.logspace(-3, 6, 2000):
-        ref = lgamma(float(x))
-        err = abs(log_gamma(float(x)) - ref) / max(1.0, abs(ref))
-        assert err <= 1e-12, (x, err)
+def test_log_gamma_against_mpmath():
+    # scaled error <= 2e-15 across [1e-3, 1e6], against 30-digit loggamma
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in np.logspace(-3, 6, 2000):
+            ref = mpmath.loggamma(mpmath.mpf(float(x)))
+            err = abs(log_gamma(float(x)) - ref) / max(1, abs(ref))
+            assert err <= 2e-15, (x, float(err))
 
 
 def test_log_gamma_reflection():
@@ -107,6 +109,19 @@ def test_odd_base_products_base3():
 def test_odd_base_wallis_product(base):
     ob = odd_base_products(base)
     assert abs(ob.wallis - pi / 2) <= 1e-12 * (pi / 2)
+
+
+@pytest.mark.parametrize("base", [3, 5, 61, 63, 101, 1001])
+def test_odd_base_products_against_mpmath(base):
+    # even_k = pi sqrt(B) C(B-1, (B-1)/2) / 2**B, odd_k = 2**(B-1) / (sqrt(B) C)
+    mpmath = pytest.importorskip("mpmath")
+    ob = odd_base_products(base)
+    with mpmath.workdps(30):
+        c = mpmath.binomial(base - 1, (base - 1) // 2)
+        even = mpmath.pi * mpmath.sqrt(base) * c / mpmath.mpf(2) ** base
+        odd = mpmath.mpf(2) ** (base - 1) / (mpmath.sqrt(base) * c)
+        assert abs(ob.even_k - even) / even <= 2e-14
+        assert abs(ob.odd_k - odd) / odd <= 2e-14
 
 
 def test_odd_base_rejects_even():

@@ -10,7 +10,6 @@ import pytest
 from digitprod import identities
 from digitprod.errors import ValidationError
 from digitprod.identities import (
-    _EvalCache,
     catalog,
     claim_by_name,
     estimate_qr,
@@ -116,21 +115,32 @@ def test_verify_all_evaluates_each_distinct_spec_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+R5_CLAIMS = ("roots_unity_sin_b5", "roots_unity_cos_b5", "sigma_first_b5", "sigma_second_b5")
+
+
 def test_failed_evaluation_reaches_every_claim_sharing_it(monkeypatch):
-    names = ("roots_unity_sin_b5", "roots_unity_cos_b5", "sigma_first_b5", "sigma_second_b5")
-    claims = [claim_by_name(n) for n in names]
+    claims = [claim_by_name(n) for n in R5_CLAIMS]
     spec = claims[0].parts[0].spec
     assert all(c.parts[0].spec == spec for c in claims)
     calls = _count_evaluations(monkeypatch, failing_spec=spec)
-    cache = _EvalCache()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(verify_claim, c, 3000, cache=cache) for c in claims]
-        for future in futures:
-            with pytest.raises(RuntimeError, match="evaluation failed"):
-                future.result(timeout=120)
     with pytest.raises(RuntimeError, match="evaluation failed"):
-        verify_claim(claims[0], 3000, cache=cache)
+        verify_all(3000, names=list(R5_CLAIMS), threads=4)
     assert calls == {(spec, 3000): 1}
+
+
+def test_claims_sharing_an_evaluation_report_its_time():
+    summary = verify_all(3000, threads=2)
+    seconds = {r.name: r.seconds for r in summary.reports}
+    assert seconds["roots_unity_sin_b5"] > 0
+    assert seconds["roots_unity_sin_b5"] == seconds["sigma_first_b5"]
+
+
+def test_verify_all_reports_do_not_depend_on_threads():
+    runs = [verify_all(3000, threads=t).reports for t in (1, 2, 0)]
+    for reports in runs[1:]:
+        assert [(r.name, r.computed, r.err_est) for r in reports] == [
+            (r.name, r.computed, r.err_est) for r in runs[0]
+        ]
 
 
 def test_naive_and_abel_agree_on_catalog_specs():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from digitprod.digits import DigitStat
 from digitprod.errors import ConvergenceHypothesisViolated, DomainError, ValidationError
+from digitprod import products
 from digitprod.identities import catalog
 from digitprod.products import (
     Factor,
@@ -14,6 +16,7 @@ from digitprod.products import (
     evaluate_direct,
     log_ratio_term,
     residue_split_check,
+    resolve_threads,
     telescoping_check,
 )
 from digitprod.sequences import (
@@ -212,6 +215,26 @@ def test_factor_validation():
         ProductSpec(2, [Factor(1), Factor(1)], thue_morse_seq())
     with pytest.raises(ValidationError):
         ProductSpec(2, [Factor(5)], thue_morse_seq())
+
+
+def test_negative_threads_refused_before_series_work(monkeypatch):
+    def no_series_work(*args, **kwargs):
+        raise AssertionError("series work started")
+
+    monkeypatch.setattr(products, "_engine", no_series_work)
+    monkeypatch.setattr(products, "recursion_profile", no_series_work)
+    spec = woods_robbins_spec()
+    with pytest.raises(ValidationError, match="threads"):
+        evaluate_direct(spec, 10**6, threads=-1)
+    with pytest.raises(ValidationError, match="threads"):
+        evaluate_abel(spec, 10**6, threads=-1)
+
+
+def test_resolve_threads():
+    assert resolve_threads(3) == 3
+    assert resolve_threads(0) == min(8, os.cpu_count() or 1)
+    with pytest.raises(ValidationError):
+        resolve_threads(-1)
 
 
 def test_threads_do_not_change_bits():
