@@ -111,6 +111,8 @@ def render_complex(z: complex) -> str:
 # specification grammar
 
 _KIND_RE = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
+# base-2 parity sequence; ``exponent=thue_morse`` names it under any base
+_THUE_MORSE = DigitStatPower(2, -1.0, DigitStat.count(1))
 
 
 def _parse_exponent(text: str, base: int, position: int) -> ExponentSeq:
@@ -128,7 +130,7 @@ def _parse_exponent(text: str, base: int, position: int) -> ExponentSeq:
 
     if kind == "thue_morse":
         need(0)
-        return DigitStatPower(2, -1.0, DigitStat.count(1))
+        return _THUE_MORSE
     if kind == "digit_sum_pow":
         need(1)
         return DigitStatPower(base, parse_complex(args[0], position), DigitStat.digit_sum())
@@ -244,16 +246,31 @@ def _render_exponent(seq: ExponentSeq) -> str:
 
 
 def render_spec(spec: ProductSpec | ExponentSeq) -> str:
-    """Inverse of parse_spec for grammar-expressible specifications."""
-    if isinstance(spec, ProductSpec):
-        factors = ",".join(
-            f"{f.residue}:{render_complex(f.multiplier)}" for f in spec.factors
+    """Inverse of parse_spec for grammar-expressible specifications.
+
+    Raises ValidationError for a product the grammar cannot state: a factor
+    with a non-default start, or a sequence in another base than the
+    product's, unless it is the base-2 parity sequence (``thue_morse``).
+    """
+    if not isinstance(spec, ProductSpec):
+        return f"base={spec.base}; exponent={_render_exponent(spec)}"
+    for f in spec.factors:
+        if f.start != Factor(f.residue).start:
+            raise ValidationError(
+                f"no grammar for start={f.start} on residue {f.residue}"
+            )
+    if spec.seq.base == spec.base:
+        exponent = _render_exponent(spec.seq)
+    elif spec.seq == _THUE_MORSE:
+        exponent = "thue_morse"
+    else:
+        raise ValidationError(
+            f"no grammar for a base-{spec.seq.base} sequence in base {spec.base}"
         )
-        return (
-            f"base={spec.base}; exponent={_render_exponent(spec.seq)}; "
-            f"factors={factors}"
-        )
-    return f"base={spec.base}; exponent={_render_exponent(spec)}"
+    factors = ",".join(
+        f"{f.residue}:{render_complex(f.multiplier)}" for f in spec.factors
+    )
+    return f"base={spec.base}; exponent={exponent}; factors={factors}"
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +371,7 @@ def _cmd_summatory(args) -> int:
     parsed = _spec_from_args(args)
     seq = parsed.seq if isinstance(parsed, ProductSpec) else parsed
     base = parsed.base if isinstance(parsed, ProductSpec) else seq.base
-    profile = recursion_profile(seq, limit=max(4096, base * (base + 1)), base=base)
+    profile = recursion_profile(seq, base=base)
     rows = []
     n = base
     while n <= args.terms:
@@ -474,15 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, terms_default=10**6, output_default="json"):
-        p.add_argument("--terms", type=int, default=terms_default)
-        p.add_argument(
-            "--output", choices=("json", "csv", "plain"), default=output_default
-        )
-        p.add_argument("--threads", type=int, default=0)
+    # outputs: the formats a subcommand renders, its default first
+    def common(p, outputs, threads=True):
+        p.add_argument("--terms", type=int, default=10**6)
+        p.add_argument("--output", choices=outputs, default=outputs[0])
+        if threads:
+            p.add_argument("--threads", type=int, default=0)
 
     p = sub.add_parser("eval", help="evaluate one product specification")
-    common(p)
+    common(p, ("json", "csv", "plain"))
     p.add_argument("--spec", help="inline specification text")
     p.add_argument("--spec-file", help="file containing the specification")
     p.add_argument(
@@ -493,23 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("verify", help="verify one catalogued identity")
-    common(p)
+    common(p, ("json", "plain"))
     p.add_argument("--claim", required=True)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("verify-all", help="verify the whole identity catalog")
-    common(p, output_default="plain")
+    common(p, ("plain", "json"))
     p.set_defaults(handler=_cmd_verify_all)
 
     p = sub.add_parser("summatory", help="partial sums of an exponent sequence")
-    common(p, output_default="csv")
+    common(p, ("csv", "json"), threads=False)
     p.add_argument("--spec", help="inline specification text")
     p.add_argument("--spec-file", help="file containing the specification")
     p.set_defaults(handler=_cmd_summatory)
 
     p = sub.add_parser("estimate", help="estimate the open constants (QR)")
-    common(p)
+    common(p, ("json", "plain"))
     p.add_argument("what", help="what to estimate: qr")
     p.set_defaults(handler=_cmd_estimate)
 

@@ -5,15 +5,19 @@ start index) and one exponent sequence u; it denotes
 
     prod_k prod_{n >= start_k} ((B*n + k) / (B*n + k + 1)) ** (c_k * u(n)).
 
-Each factor's log-series is summed over blocks with all logs taken of
-positive rationals, so complex exponents only ever multiply real logs and no
-branch cuts arise.  There is one summation path, the truncated log-series;
-two evaluators read it:
+The product has one log-series,
+
+    log P = sum_{n >= 0} u(n) * sum_k c_k * log((B*n + k) / (B*n + k + 1)),
+
+where factor k contributes only for n >= start_k.  It is summed over blocks
+from n = 0 with all logs taken of positive rationals, so complex exponents
+only ever multiply real logs and no branch cuts arise.  There is one
+summation path, this truncated log-series; two evaluators read it:
 
 * ``evaluate_direct``: plain truncation, with the final block's
   contribution as an indicative error.
 * ``evaluate_abel``: the same truncated sum, read through summation by
-  parts.  Over [1, N) that is an exact rearrangement, so it changes no value;
+  parts.  Over [0, N) that is an exact rearrangement, so it changes no value;
   it supplies the error bound, from the boundary term F(N)*a_N with F the
   partial sums of the exponent sequence, and the tail model.  Optionally the
   tail is fitted from the sums one digit level apart (N/B and N): it
@@ -173,13 +177,13 @@ def _round_up_terms(n_terms: int, base: int) -> int:
 
 
 def _block_edges(n_terms: int, snapshot: int | None) -> list[int]:
-    edges = {1, n_terms}
+    # edge 1 keeps F(1) = u(0) among the edge carries of the error bound, and
+    # a distinct trailing block keeps last-block error estimates meaningful
+    edges = {0, 1, n_terms, max(1, n_terms - max(n_terms // 8, 1))}
     edges.update(range(_BLOCK, n_terms, _BLOCK))
-    # keep a distinct trailing block so last-block error estimates mean something
-    edges.add(max(1, n_terms - max(n_terms // 8, 1)))
-    if snapshot is not None and 1 < snapshot < n_terms:
+    if snapshot is not None:
         edges.add(snapshot)
-    return sorted(edges)
+    return sorted(e for e in edges if e <= n_terms)
 
 
 def resolve_threads(threads: int) -> int:
@@ -206,54 +210,25 @@ def map_ordered(fn, items, threads: int) -> list:
 
 
 @dataclass
-class _FactorTotals:
-    sum_at: dict[int, complex]  # truncation index -> factor log-sum
-    last_a: dict[int, float]  # truncation index -> a_{N-1}
-    last_block: complex  # final block's contribution
-
-
-@dataclass
 class _EngineOut:
-    totals: list[_FactorTotals]
-    f_at: dict[int, complex]  # truncation index -> F(index)
-    f_edge_max: float
+    log_at: dict[int, complex]  # truncation index -> combined log-sum
+    f_edge_max: float  # max |F| over the block edges, N and the snapshot included
+    last_block: complex  # final block's contribution to the log-sum
 
 
 def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
             threads: int) -> _EngineOut:
-    """Per-factor log-sums over [start_k, N), optionally also at a snapshot.
+    """The log-sum sum_k c_k sum_{n in [start_k, N)} u(n) * a(n, k) from n = 0.
 
-    Each block contributes sum u(n) and, per factor, sum u(n) * a(n, k) and
-    its last a(n, k); exact carries of these give the sums at N and at the
-    snapshot, the partial sums F of u at every block edge, and a_{N-1}.
+    Each block [s, e) contributes sum u(n) and sum_k c_k sum u(n) * a(n, k),
+    where factor k skips the first start_k - s entries of the block, so the
+    n = 0 term and late starts take the same path as every other n.  Exact
+    carries of these give the log-sums at N and at the snapshot and the
+    partial sums F of u at every block edge; edge 1 keeps F(1) = u(0) among
+    them.
     """
     base, seq, factors = spec.base, spec.seq, spec.factors
-    u0 = seq.value(0)
-    marks = [n_terms] if snapshot is None else [snapshot, n_terms]
-
-    # scalar corrections: the n = 0 term for start-0 factors, and removal of
-    # n in [1, start) for factors that begin later
-    def corrections(upto: int) -> list[complex]:
-        out = []
-        for f in factors:
-            c = complex(0.0)
-            if f.start == 0 and upto > 0:
-                c += u0 * log_ratio_term(base, f.residue, 0)
-            for n in range(1, min(f.start, upto)):
-                c -= seq.value(n) * log_ratio_term(base, f.residue, n)
-            out.append(c)
-        return out
-
-    if n_terms <= 1:
-        totals = [
-            _FactorTotals({m: corr for m in marks}, {m: 0.0 for m in marks}, corr)
-            for corr in corrections(n_terms)
-        ]
-        f1 = u0 if n_terms >= 1 else complex(0.0)
-        return _EngineOut(totals, {m: f1 for m in marks}, abs(f1))
-
     edges = _block_edges(n_terms, snapshot)
-    spans = list(zip(edges[:-1], edges[1:]))
 
     def worker(span: tuple[int, int]):
         ns = np.arange(*span, dtype=np.int64)
@@ -266,50 +241,30 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
         # the threads of map_ordered
         uv = u.view(np.float64).reshape(len(u), -1)
         buf = np.empty(len(u))
-        per_factor = []
+        parts = []
         for f in factors:
-            a = _log_ratio_block(base, f.residue, ns)
-            dot = complex(*[np.multiply(a, col, out=buf).sum() for col in uv.T])
-            per_factor.append((dot, float(a[-1])))
-        return complex(u.sum()), per_factor
+            i = min(max(f.start - span[0], 0), len(u))
+            a = _log_ratio_block(base, f.residue, ns[i:])
+            dot = complex(*[np.multiply(a, c[i:], out=buf[i:]).sum() for c in uv.T])
+            parts.append(f.multiplier * dot)
+        return complex(u.sum()), _fsum_c(parts)
 
-    results = map_ordered(worker, spans, threads)
+    results = map_ordered(worker, zip(edges, edges[1:]), threads)
     usums = [r[0] for r in results]
-
-    # F at block edges: F(1) = u(0), then running exact prefix sums
-    carries = [complex(u0)]
-    for i in range(len(usums)):
-        carries.append(_fsum_c([u0, *usums[: i + 1]]))
-    f_at = {}
-    for m in marks:
-        f_at[m] = carries[edges.index(m)]
-    f_edge_max = max(abs(c) for c in carries)
-
-    corr_at = {m: corrections(m) for m in marks}
-    totals = []
-    for j in range(len(factors)):
-        dots = [res[1][j][0] for res in results]
-        sum_at: dict[int, complex] = {}
-        last_a: dict[int, float] = {}
-        for m in marks:
-            upto = edges.index(m)
-            sum_at[m] = _fsum_c(dots[:upto]) + corr_at[m][j]
-            last_a[m] = results[upto - 1][1][j][1]
-        totals.append(_FactorTotals(sum_at, last_a, dots[-1]))
-    return _EngineOut(totals, f_at, f_edge_max)
-
-
-def _combine(spec: ProductSpec, out: _EngineOut, mark: int) -> complex:
-    return _fsum_c(
-        f.multiplier * t.sum_at[mark] for f, t in zip(spec.factors, out.totals)
+    logs = [r[1] for r in results]
+    marks = [n_terms] if snapshot is None else [snapshot, n_terms]
+    return _EngineOut(
+        log_at={m: _fsum_c(logs[: edges.index(m)]) for m in marks},
+        f_edge_max=max(abs(_fsum_c(usums[:i])) for i in range(len(edges))),
+        last_block=logs[-1] if logs else 0j,
     )
 
 
-def _boundary_scale(spec: ProductSpec, out: _EngineOut, mark: int) -> float:
-    fmax = max(out.f_edge_max, abs(out.f_at[mark]))
-    return fmax * sum(
-        abs(f.multiplier) * abs(t.last_a[mark])
-        for f, t in zip(spec.factors, out.totals)
+def _boundary_scale(spec: ProductSpec, out: _EngineOut, n_terms: int) -> float:
+    # max |F| times sum_k |c_k| |a(N-1, k)|; F(N) is an edge carry
+    return out.f_edge_max * sum(
+        abs(f.multiplier) * -log_ratio_term(spec.base, f.residue, n_terms - 1)
+        for f in spec.factors
     )
 
 
@@ -324,13 +279,8 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
         raise ValidationError(f"n_terms must be nonnegative, got {n_terms}")
     n = _round_up_terms(int(n_terms), spec.base)
     out = _engine(spec, n, None, threads=threads)
-    log_value = _combine(spec, out, n)
-    err = abs(
-        _fsum_c(
-            f.multiplier * t.last_block for f, t in zip(spec.factors, out.totals)
-        )
-    )
-    return EvalResult(log_value, cmath.exp(log_value), err, n, "naive")
+    log_value = out.log_at[n]
+    return EvalResult(log_value, cmath.exp(log_value), abs(out.last_block), n, "naive")
 
 
 def evaluate_abel(
@@ -355,9 +305,7 @@ def evaluate_abel(
     if n_terms < base:
         raise ValidationError(f"n_terms must be >= base, got {n_terms}")
     n = _round_up_terms(int(n_terms), base)
-    profile = recursion_profile(
-        spec.seq, limit=max(4096, base * (base + 1)), base=base
-    )
+    profile = recursion_profile(spec.seq, base=base)
     profile.require_unit_bounds()
 
     # snapshot one digit level below N: the tail contracts by the complex
@@ -369,13 +317,13 @@ def evaluate_abel(
     snapshot = prev if use_extrap else None
 
     out = _engine(spec, n, snapshot, threads=threads)
-    log_n = _combine(spec, out, n)
+    log_n = out.log_at[n]
 
     if not use_extrap:
         err = _boundary_scale(spec, out, n)
         return EvalResult(log_n, cmath.exp(log_n), err, n, "abel")
 
-    log_prev = _combine(spec, out, prev)
+    log_prev = out.log_at[prev]
     g_total = profile.v_total
     lam = g_total / base if abs(g_total) > 1.0 else complex(1.0 / base)
     tail = (log_n - log_prev) * (lam / (1.0 - lam))

@@ -326,20 +326,22 @@ class RecursionProfile:
 
 def recursion_profile(
     seq: ExponentSeq,
-    limit: int = 4096,
+    limit: int | None = None,
     base: int | None = None,
     seed_start: int | None = None,
 ) -> RecursionProfile:
     """Extract and verify the digit recursion profile of ``seq``.
 
     ``base`` defaults to the sequence's own base but may differ (a sequence
-    can satisfy the recursion in a higher base as well).  Raises
+    can satisfy the recursion in a higher base as well).  The checked window
+    [0, limit] must reach base**2; ``None`` means max(4096, base*(base+1)),
+    which every base accepts.  Raises
     ValidationError when a value in the window is not finite, NoNonzeroSeed
     when every candidate seed value vanishes, HypothesisFailed when the
     recursion breaks, and ConvergenceHypothesisViolated when |sum v(k)| >= base.
     """
     b = check_base(base if base is not None else seq.base)
-    limit = int(limit)
+    limit = max(4096, b * (b + 1)) if limit is None else int(limit)
     if limit < b * b:
         raise ValidationError(f"limit must be >= base**2, got {limit} < {b * b}")
     # reading v(0..B-1) off a seed n0 >= B needs values up to B*n0 + B - 1

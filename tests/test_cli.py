@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from digitprod.cli import main, parse_complex, parse_spec, render_complex, render_spec
 from digitprod.digits import DigitStat
 from digitprod.errors import ParseError, ValidationError
-from digitprod.identities import catalog
+from digitprod.identities import catalog, r_product_spec
 from digitprod.products import Factor, ProductSpec
 from digitprod.sequences import DigitStatPower, PeriodicPower, StronglyMultiplicative
 
@@ -110,6 +110,26 @@ def test_render_round_trip_over_catalog():
                 continue
             seen.add(spec)
             assert parse_spec(render_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("base", [3, 4])
+def test_render_thue_morse_under_another_base(base):
+    spec = parse_spec(f"base={base}; exponent=thue_morse; factors=1")
+    assert spec.seq.base == 2
+    text = render_spec(spec)
+    assert text == f"base={base}; exponent=thue_morse; factors=1:1"
+    assert parse_spec(text) == spec
+    # a bare sequence keeps its own base
+    assert render_spec(spec.seq) == "base=2; exponent=count_digit_pow(-1,1)"
+
+
+def test_render_refuses_what_the_grammar_cannot_state():
+    with pytest.raises(ValidationError, match="start"):
+        render_spec(r_product_spec())
+    with pytest.raises(ValidationError, match="base-3"):
+        render_spec(
+            ProductSpec(9, [Factor(1)], DigitStatPower(3, 0.5, DigitStat.digit_sum()))
+        )
 
 
 def test_cli_digits(capsys):
@@ -279,6 +299,24 @@ def test_cli_negative_threads_exit_2(capsys, argv):
     code = main([*argv, "--terms", "3000", "--threads", "-1"])
     assert code == 2
     assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--claim", "woods_robbins", "--output", "csv"],
+        ["estimate", "qr", "--output", "csv"],
+        ["verify-all", "--output", "csv"],
+        ["summatory", "--spec", "base=2; exponent=thue_morse", "--output", "plain"],
+        ["summatory", "--spec", "base=2; exponent=thue_morse", "--threads", "-5"],
+    ],
+    ids=["verify-csv", "estimate-csv", "verify-all-csv", "summatory-plain",
+         "summatory-threads"],
+)
+def test_cli_options_a_command_does_not_render_exit_2(capsys, argv):
+    code, out = run(capsys, [*argv, "--terms", "3000"])
+    assert code == 2
+    assert out == ""
 
 
 def test_cli_usage_errors(capsys):

@@ -62,6 +62,12 @@ CASES = [
     ),
     ProductSpec(3, [Factor(1, 1.0)], SignedResidue(3, (1.0, -1.0))),
     ProductSpec(2, [Factor(1, 2.5j)], StronglyMultiplicative(2, (-0.5,))),
+    # a start beyond N = 7 and 64 and inside the first block at N = 3000
+    ProductSpec(
+        3,
+        [Factor(0, 1.0), Factor(1, -0.5, start=100), Factor(2, 1j, start=2)],
+        DigitStatPower(3, 0.5, DigitStat.digit_sum()),
+    ),
 ]
 
 

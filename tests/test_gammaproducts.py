@@ -111,7 +111,7 @@ def test_odd_base_wallis_product(base):
     assert abs(ob.wallis - pi / 2) <= 1e-12 * (pi / 2)
 
 
-@pytest.mark.parametrize("base", [3, 5, 61, 63, 101, 1001])
+@pytest.mark.parametrize("base", [3, 5, 61, 63, 101, 1001, 2001, 10**6 + 1])
 def test_odd_base_products_against_mpmath(base):
     # even_k = pi sqrt(B) C(B-1, (B-1)/2) / 2**B, odd_k = 2**(B-1) / (sqrt(B) C)
     mpmath = pytest.importorskip("mpmath")

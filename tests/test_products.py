@@ -137,6 +137,15 @@ def test_abel_without_extrapolation_matches_naive_partial(spec):
     assert a.log_value == d.log_value
 
 
+def test_abel_error_bound_keeps_f_at_one():
+    # Thue-Morse F vanishes at every even index, so at this N every block
+    # edge but 1 carries F = 0; F(1) = u(0) = 1 makes the bound |a(N-1, 1)|
+    n = (1 << 20) + 2
+    r = evaluate_abel(woods_robbins_spec(), n, extrapolate=False)
+    assert r.terms == n
+    assert r.err_est == pytest.approx(-log_ratio_term(2, 1, n - 1), rel=1e-12)
+
+
 def test_eval_result_value_is_exp_of_log():
     r = evaluate_abel(woods_robbins_spec(), 10**4)
     import cmath
