@@ -48,6 +48,7 @@ from .products import (
     ProductSpec,
     evaluate_abel,
     evaluate_direct,
+    evaluate_moments,
     log_ratio_term,
     residue_split_check,
     telescoping_check,

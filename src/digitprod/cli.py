@@ -50,7 +50,13 @@ from .gammaproducts import (
     verify_alternating_products,
 )
 from .identities import claim_by_name, estimate_qr, verify_all, verify_claim
-from .products import Factor, ProductSpec, evaluate_abel, evaluate_direct
+from .products import (
+    Factor,
+    ProductSpec,
+    evaluate_abel,
+    evaluate_direct,
+    evaluate_moments,
+)
 from .sequences import (
     DigitStatPower,
     ExponentSeq,
@@ -306,6 +312,8 @@ def _cmd_eval(args) -> int:
     spec = _require_product(_spec_from_args(args))
     if args.method == "naive":
         result = evaluate_direct(spec, args.terms, threads=args.threads)
+    elif args.method == "moments":
+        result = evaluate_moments(spec, args.terms, threads=args.threads)
     else:
         result = evaluate_abel(
             spec, args.terms, extrapolate=(args.method != "abel"), threads=args.threads
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-file", help="file containing the specification")
     p.add_argument(
         "--method",
-        choices=("naive", "abel", "abel+extrapolation"),
+        choices=("naive", "abel", "abel+extrapolation", "moments"),
         default="abel+extrapolation",
     )
     p.set_defaults(handler=_cmd_eval)

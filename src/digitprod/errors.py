@@ -38,11 +38,17 @@ class NoNonzeroSeed(DigitprodError):
 
 
 class HypothesisFailed(DigitprodError):
-    """The digit recursion u(B*n + k) = u(n) * v(k) fails for some n >= 1."""
+    """The digit recursion u(B*n + k) = u(n) * v(k) fails for some n >= 1.
 
-    def __init__(self, n: int, k: int, deviation: float):
+    With ``reason`` (and no n, k or deviation) it is not known to hold for
+    every n >= 1, which a method relying on all digit levels must refuse.
+    """
+
+    def __init__(self, n: int | None = None, k: int | None = None,
+                 deviation: float | None = None, reason: str | None = None):
         super().__init__(
-            f"digit recursion fails at n={n}, k={k} (deviation {deviation:.3e})"
+            reason
+            or f"digit recursion fails at n={n}, k={k} (deviation {deviation:.3e})"
         )
         self.n = n
         self.k = k

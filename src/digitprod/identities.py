@@ -6,9 +6,12 @@ carriers for sine/cosine exponent pairs: the sine product is a real part of
 the complex log-sum and the cosine product an imaginary part, so one
 evaluation serves both members of a pair (and their squared variants).
 
-``verify_all`` lists the distinct (spec, N) part evaluations of the claims it
-checks, evaluates each once (spread over threads with ``map_ordered``) and
-builds every claim's report from those results.
+Every part is evaluated by ``evaluate_moments``: a direct head of at most
+N terms and the whole tail from the digit-level moment recursion, so a
+claim's N (``--terms``) is a budget, its value is accurate to about 1e-15 and
+its ``err_est`` is a bound.  ``verify_all`` lists the distinct (spec, N) part
+evaluations of the claims it checks, evaluates each once (spread over threads
+with ``map_ordered``) and builds every claim's report from those results.
 
 ``estimate_qr`` computes the two classical open-valued products over the
 +-1 parity-of-binary-ones exponent: Q over (2n)/(2n+1) from n >= 1, and R
@@ -33,8 +36,7 @@ from .products import (
     EvalResult,
     Factor,
     ProductSpec,
-    evaluate_abel,
-    evaluate_direct,
+    evaluate_moments,
     log_ratio_term,
     map_ordered,
     resolve_threads,
@@ -186,9 +188,11 @@ def _zero_count_spec(base: int, z: complex, scaled: bool) -> ProductSpec:
 
 
 def catalog() -> list[IdentityClaim]:
-    """All catalogued claims, cheapest-to-hardest tolerances pinned per class:
-    1e-5 for bounded-partial-sum exponents, 1e-4 for unit-modulus root
-    exponents, 5e-4 for real powers with growth exponent up to ~0.6."""
+    """All catalogued claims, each with relative tolerance 1e-12.
+
+    The moment evaluator reaches about 1e-15 on every claim from the default
+    budget down to N = 10**3, for every exponent class alike, so one
+    tolerance serves the whole catalog with a 1000-fold margin."""
     claims: list[IdentityClaim] = []
 
     def add(name, base, parts, rhs, cite, tol, note=""):
@@ -206,7 +210,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(wr_spec)],
         ClosedForm.power_of_base(-0.5),
         "Woods-Robbins product over (2n+1)/(2n+2)",
-        1e-5,
+        1e-12,
     )
     add(
         "woods_robbins_squared",
@@ -214,7 +218,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ProductSpec(2, [Factor(1, 2.0)], _tm()))],
         ClosedForm.rational(1, 2),
         "squared Woods-Robbins product, multiplier 1 - u(1) = 2",
-        1e-5,
+        1e-12,
     )
 
     # strongly multiplicative table exponent with a complex fourth root
@@ -225,7 +229,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ProductSpec(3, [Factor(1, 1 - 1j), Factor(2, 2.0)], i_s3))],
         ClosedForm.rational(1, 3),
         "strongly multiplicative product with i**digit_sum exponents, base 3",
-        1e-4,
+        1e-12,
     )
 
     # zero-count exponents (base 2, z = 1/2)
@@ -235,7 +239,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(_zero_count_spec(2, 0.5, scaled=True))],
         ClosedForm.rational(1, 2),
         "zero-count product with multiplier 1 - z",
-        5e-4,
+        1e-12,
         note="the product equals 1/B (consistent with the unscaled log form)",
     )
     add(
@@ -244,7 +248,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(_zero_count_spec(2, 0.5, scaled=False))],
         ClosedForm.power_of_base(1.0 / (0.5 - 1.0)),
         "zero-count product, unscaled exponent, value B**(1/(z-1))",
-        5e-4,
+        1e-12,
     )
 
     # roots of unity with base = 1 mod q, and the squared (sigma) forms
@@ -255,7 +259,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(r5, 0.5, "real")],
         ClosedForm.power_of_base(-0.5),
         "sine pair product over base 5, fourth roots of unity",
-        1e-4,
+        1e-12,
     )
     add(
         "roots_unity_cos_b5",
@@ -263,7 +267,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(r5, -0.5, "imag")],
         ClosedForm.one(),
         "cosine pair product over base 5, fourth roots of unity",
-        1e-4,
+        1e-12,
     )
     add(
         "sigma_first_b5",
@@ -271,7 +275,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(r5, 1.0, "real")],
         ClosedForm.rational(1, 5),
         "squared sine pair: the +-1 square-residue exponent product",
-        1e-4,
+        1e-12,
     )
     add(
         "sigma_second_b5",
@@ -279,7 +283,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(r5, -1.0, "imag")],
         ClosedForm.one(),
         "squared cosine pair: the shifted square-residue exponent product",
-        1e-4,
+        1e-12,
     )
 
     # z**digit_sum exponents
@@ -290,7 +294,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ProductSpec(3, [Factor(1, 0.5), Factor(2, 0.75)], zs3))],
         ClosedForm.rational(1, 3),
         "digit-sum power product with multipliers 1 - z**k, base 3",
-        5e-4,
+        1e-12,
     )
     half_s2 = DigitStatPower(2, 0.5, DigitStat.digit_sum())
     add(
@@ -299,7 +303,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ProductSpec(2, [Factor(1, 1.0)], half_s2))],
         ClosedForm.rational(1, 4),
         "squared digit-sum power product at z = 1/2, base 2",
-        5e-4,
+        1e-12,
     )
 
     # digit-sum roots of unity (base 2, q = 4) and the squared sigma forms
@@ -310,7 +314,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ds2, 0.5, "real")],
         ClosedForm.power_of_base(-0.5),
         "sine product with digit-sum phases, base 2",
-        1e-4,
+        1e-12,
     )
     add(
         "cos_digit_sum_b2",
@@ -318,7 +322,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ds2, -0.5, "imag")],
         ClosedForm.one(),
         "cosine product with digit-sum phases, base 2",
-        1e-4,
+        1e-12,
     )
     add(
         "sigma_digit_sum_first_b2",
@@ -326,7 +330,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ds2, 1.0, "real")],
         ClosedForm.rational(1, 2),
         "squared sine product: square-residue exponent of the digit sum",
-        1e-4,
+        1e-12,
     )
     add(
         "sigma_digit_sum_second_b2",
@@ -334,7 +338,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ds2, -1.0, "imag")],
         ClosedForm.one(),
         "squared cosine product: shifted square-residue exponent of the digit sum",
-        1e-4,
+        1e-12,
     )
 
     # base-3 third roots of the digit sum: the 1/-2 pattern exponent
@@ -345,7 +349,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ds3, 1.0, "real"), Part(ds3, 1.0 / sqrt3, "imag")],
         ClosedForm.rational(1, 3),
         "rearranged base-3 product with the 1,1,-2 exponent pattern",
-        5e-4,
+        1e-12,
     )
 
     # alternating parity of the digit sum: 1/sqrt(B)
@@ -358,7 +362,7 @@ def catalog() -> list[IdentityClaim]:
             [Part(spec)],
             ClosedForm.power_of_base(-0.5),
             f"odd-residue product with (-1)**digit_sum exponents, base {b}",
-            1e-5,
+            1e-12,
         )
 
     # digit-set counting exponents
@@ -370,7 +374,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(dj4, 1.0 / (2.0 * s_pi3), "real")],
         ClosedForm.power_of_base(-1.0 / (2.0 * s_pi3)),
         "digit-set {1,3} count product with third-root phases, base 4",
-        1e-4,
+        1e-12,
     )
     add(
         "digit_set_cos_b4",
@@ -378,7 +382,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(dj4, -1.0 / (2.0 * s_pi3), "imag")],
         ClosedForm.one(),
         "digit-set {1,3} cosine partner, base 4",
-        1e-4,
+        1e-12,
     )
     parity_set = DigitStatPower(5, -1.0, DigitStat.count_set({1, 2}))
     add(
@@ -387,7 +391,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ProductSpec(5, [Factor(1, 1.0), Factor(2, 1.0)], parity_set))],
         ClosedForm.power_of_base(-0.5),
         "(-1)**(count of digits 1 and 2) product, base 5",
-        1e-5,
+        1e-12,
     )
 
     # single-digit counts in base 2 (k = 1 is the prototype again)
@@ -397,7 +401,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(wr_spec)],
         ClosedForm.power_of_base(-0.5),
         "single-digit count product at k = 1, base 2",
-        1e-5,
+        1e-12,
     )
     zeros2 = DigitStatPower(2, -1.0, DigitStat.count(0))
     add(
@@ -406,7 +410,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(ProductSpec(2, [Factor(0, 1.0)], zeros2))],
         ClosedForm.power_of_base(-0.5),
         "single-digit count product at k = 0, base 2",
-        1e-5,
+        1e-12,
     )
 
     # single-digit count in base 3 with third-root phases: 1/-2 and 1,0,-1
@@ -417,7 +421,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(c31, 2.0 / 3.0, "real")],
         ClosedForm.power_of_base(-2.0 / 3.0),
         "1,0,-1 exponent pattern of the digit-1 count, base 3",
-        5e-4,
+        1e-12,
     )
     add(
         "theta_count_b3",
@@ -425,7 +429,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(c31, -2.0 / sqrt3, "imag")],
         ClosedForm.one(),
         "squared cosine partner with the 1,1,-2 pattern, base 3",
-        5e-4,
+        1e-12,
     )
 
     # periodic (-1)**n exponents over odd bases; Gamma quotient cross-check
@@ -438,7 +442,7 @@ def catalog() -> list[IdentityClaim]:
             alternating_pair_quotient(3, 1), label="Gamma quotient for base 3, k = 1"
         ),
         "alternating product (3n+1)/(3n+2), equal to 1/sqrt(3)",
-        1e-5,
+        1e-12,
     )
     alt5 = ProductSpec(
         5, [Factor(1, 1.0), Factor(3, 1.0)], PeriodicPower(5, 2, 1)
@@ -449,7 +453,7 @@ def catalog() -> list[IdentityClaim]:
         [Part(alt5)],
         ClosedForm.power_of_base(-0.5),
         "alternating odd-residue product, base 5",
-        1e-5,
+        1e-12,
     )
 
     return claims
@@ -512,7 +516,7 @@ def _evaluate_timed(
 ) -> tuple[EvalResult, float]:
     spec, n = key
     t0 = time.perf_counter()
-    result = evaluate_abel(spec, n, extrapolate=True, threads=threads)
+    result = evaluate_moments(spec, n, threads=threads)
     return result, time.perf_counter() - t0
 
 
@@ -616,8 +620,8 @@ def q_product_spec() -> ProductSpec:
 def r_product_spec() -> ProductSpec:
     """R: the (4n+1)(4n+2)/((4n)(4n+3)) product from n >= 1, base-4 residues.
 
-    The combined per-n factor makes the log-series absolutely convergent, so
-    direct truncation is accurate; residues 0 (inverted) and 2 carry it.
+    The combined per-n factor makes the log-series absolutely convergent;
+    residues 0 (inverted) and 2 carry it.
     """
     return ProductSpec(
         4, [Factor(0, -1.0, start=1), Factor(2, 1.0, start=1)], _tm()
@@ -627,15 +631,15 @@ def r_product_spec() -> ProductSpec:
 def estimate_qr(n_terms: int, threads: int = 1) -> dict:
     """Estimate Q and R and check Q * R = 3/2.
 
-    Q's log-series is conditionally convergent (bounded partial sums) and is
-    evaluated with extrapolated summation by parts; R's is absolutely
-    convergent and truncated directly.  No reference value exists for either
+    Both are evaluated by ``evaluate_moments`` with the budget n_terms: Q's
+    log-series converges conditionally (bounded partial sums), R's absolutely,
+    and the moment tail serves both.  No reference value exists for either
     constant alone.
     """
     if n_terms < 1000:
         raise ValidationError(f"n_terms must be >= 1000, got {n_terms}")
-    q_res = evaluate_abel(q_product_spec(), n_terms, extrapolate=True, threads=threads)
-    r_res = evaluate_direct(r_product_spec(), n_terms, threads=threads)
+    q_res = evaluate_moments(q_product_spec(), n_terms, threads=threads)
+    r_res = evaluate_moments(r_product_spec(), n_terms, threads=threads)
     q = q_res.value.real
     r = r_res.value.real
     return {

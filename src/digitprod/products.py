@@ -12,8 +12,18 @@ The product has one log-series,
 where factor k contributes only for n >= start_k.  It is summed over blocks
 from n = 0 with all logs taken of positive rationals, so complex exponents
 only ever multiply real logs and no branch cuts arise.  There is one
-summation path, this truncated log-series; two evaluators read it:
+summation path, this truncated log-series; three evaluators read it:
 
+* ``evaluate_moments`` (behind ``verify``, ``verify-all`` and ``estimate``):
+  the truncated sum below B**L0 plus the whole tail beyond it.  For n >= 1
+  the digit recursion u(B*n + k) = u(n) * v(k) maps digit level L,
+  [B**L, B**(L+1)), onto level L+1, which makes the moments
+  sum_{n in level} u(n) n**-r of the levels a linear recursion; one R x R
+  triangular solve sums them over every level from L0 on, and the order-R
+  expansion of each log in 1/n turns them into the tail.  It needs ~10**3
+  terms for machine precision; N is a budget, and ``err_est`` bounds the
+  truncation and rounding error.  It refuses a sequence whose recursion is
+  not certified for every n >= 1 (``RecursionProfile.certified``).
 * ``evaluate_direct``: plain truncation, with the final block's
   contribution as an indicative error.
 * ``evaluate_abel``: the same truncated sum, read through summation by
@@ -38,7 +48,7 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import fsum, log1p
+from math import comb, fsum, log1p
 from os import cpu_count
 
 import numpy as np
@@ -54,6 +64,7 @@ __all__ = [
     "log_ratio_term",
     "evaluate_direct",
     "evaluate_abel",
+    "evaluate_moments",
     "resolve_threads",
     "map_ordered",
     "TelescopeReport",
@@ -190,8 +201,8 @@ def resolve_threads(threads: int) -> int:
     """The worker count for a ``threads`` argument: 0 means min(8, CPUs).
 
     Negative counts raise ValidationError.  ``evaluate_direct``,
-    ``evaluate_abel`` and ``identities.verify_all`` call this at entry, so a
-    bad count fails before any series work.
+    ``evaluate_abel``, ``evaluate_moments`` and ``identities.verify_all`` call
+    this at entry, so a bad count fails before any series work.
     """
     threads = int(threads)
     if threads < 0:
@@ -330,6 +341,142 @@ def evaluate_abel(
     log_value = log_n + tail
     err = abs(tail) + _boundary_scale(spec, out, n)
     return EvalResult(log_value, cmath.exp(log_value), err, n, "abel+extrapolation")
+
+
+_MOMENT_ORDER = 8  # R: the moments n**-1 .. n**-R of a digit level
+_MOMENT_HEAD = 256  # the tail starts at the first level with B**L0 >= this
+_UNIT = 2.0**-53  # unit roundoff of float64
+
+
+def _moment_level(spec: ProductSpec, n_terms: int) -> int:
+    """L0: the smallest level with B**L0 >= max(256, every factor start),
+    lowered until the B**(L0+1) summed terms fit the budget n_terms."""
+    base = spec.base
+    first = max(f.start for f in spec.factors)
+    level = 1
+    while base**level < max(_MOMENT_HEAD, first):
+        level += 1
+    while level > 1 and base ** (level + 1) > n_terms:
+        level -= 1
+    # the expansion in 1/n needs the tail to start at n >= B, so L0 >= 1
+    if base ** (level + 1) > n_terms or base**level < first:
+        raise ValidationError(
+            f"n_terms = {n_terms} leaves no digit level L0 >= 1 with "
+            f"B**(L0+1) <= n_terms and B**L0 >= {first}, the largest factor "
+            f"start (base {base})"
+        )
+    return level
+
+
+def _solve_tail(mat: list[list[complex]], rhs: list, bound: bool = False) -> list:
+    """x with (I - mat) x = rhs for an upper-triangular mat, by back-substitution.
+
+    With ``bound`` the result is the componentwise bound on |x| that follows
+    from bounds on |rhs|: each step takes |mat| and |1 - mat[r][r]|.
+    """
+    x = [0.0] * len(rhs)
+    for r in reversed(range(len(rhs))):
+        row = zip(mat[r][r + 1:], x[r + 1:])
+        if bound:
+            x[r] = (rhs[r] + sum(abs(e) * xs for e, xs in row)) / abs(1 - mat[r][r])
+        else:
+            x[r] = (rhs[r] + sum(e * xs for e, xs in row)) / (1 - mat[r][r])
+    return x
+
+
+def _moments_at_level(spec: ProductSpec, v: tuple[complex, ...], level: int) -> EvalResult:
+    """The log-sum as the direct sum below B**level plus a moment tail beyond.
+
+    The head is ``evaluate_direct(spec, B**L0)``.  One block of u over the
+    level [B**L0, B**(L0+1)) gives its moments T(r) = sum u(n) n**-r.  The
+    recursion maps level L onto L+1 by T_{L+1}(r) = sum_i M[r, r+i] T_L(r+i)
+    with M[r, r+i] = B**(-r-i) C(-r, i) m_i, m_i = sum_j v(j) j**i (0**0 = 1),
+    so the moments of all levels from L0 on sum to (I - M)**-1 T.  The tail
+    log-sum is sum_s W_s Tail(s): W_s = sum_k c_k (-1)**s ((k+1)**s - k**s)
+    / (s B**s) is the coefficient of n**-s in log((B*n + k) / (B*n + k + 1)),
+    the double expansion sum_{i+t=s} ((-1)**i / i) C(-i, t) k**t B**(-i-t)
+    collected by the binomial theorem.
+    """
+    base, order, factors = spec.base, _MOMENT_ORDER, spec.factors
+    head, top = base**level, base ** (level + 1)
+    head_log = evaluate_direct(spec, head).log_value
+
+    ns = np.arange(head, top, dtype=np.int64)
+    u = spec.seq.block(ns)
+    p = 1.0 / ns
+    w, w_abs = u * p, np.abs(u) * p
+    moments, moments_abs = [], []
+    for _ in range(order):
+        moments.append(complex(w.sum()))
+        moments_abs.append(float(w_abs.sum()))
+        w *= p
+        w_abs *= p
+
+    # rows and columns r, s = 1..R at index r-1, s-1
+    m = [sum(vj * j**i for j, vj in enumerate(v)) for i in range(order)]
+    mat = [[(-1) ** (s - r) * comb(s - 1, s - r) * m[s - r] / base**s if s >= r else 0j
+            for s in range(1, order + 1)] for r in range(1, order + 1)]
+    weights = [
+        sum(f.multiplier * ((f.residue + 1) ** s - f.residue**s) for f in factors)
+        * (-1) ** s / (s * base**s)
+        for s in range(1, order + 1)
+    ]
+    tail = _fsum_c(c * t for c, t in zip(weights, _solve_tail(mat, moments)))
+    log_value = head_log + tail
+
+    # truncation, with |u| <= 1: the Lagrange remainders of the order-R
+    # expansions of log(1 + k y / B) and (1 + k y / B)**-r in y = 1/n, each
+    # times sum_{n >= B**L0} n**-(R+1) <= z
+    z = head**-order * (1.0 / head + 1.0 / order)
+    trunc = z * sum(
+        abs(f.multiplier) * ((f.residue / base) ** (order + 1)
+                             + ((f.residue + 1) / base) ** (order + 1))
+        for f in factors
+    ) / (order + 1)
+    mu = [sum(abs(vj) * j**i for j, vj in enumerate(v)) for i in range(order + 1)]
+    moment_trunc = [comb(order, order + 1 - r) * mu[order + 1 - r] * z / base ** (order + 1)
+                    for r in range(1, order + 1)]
+    # rounding: pairwise sums of at most B**(L0+1) products with a few
+    # roundings each, R more in the powers and the solve; the head's sum of
+    # |a(n, k)| <= 1/(B*n + k) is bounded by its first term plus an integral
+    head_abs = 0.0
+    for f in factors:
+        x0 = base * f.start + f.residue
+        if f.start < head:
+            head_abs += abs(f.multiplier) * (
+                1.0 / x0 + math.log((base * (head - 1) + f.residue) / x0) / base)
+    roundings = top.bit_length() + 20
+    tail_abs = _solve_tail(mat, moments_abs, bound=True)
+    tail_err = _solve_tail(mat, moment_trunc, bound=True)
+    err = (
+        trunc
+        + sum(abs(c) * e for c, e in zip(weights, tail_err))
+        + roundings * _UNIT * head_abs
+        + (roundings + 4 * order) * _UNIT * sum(abs(c) * t for c, t in zip(weights, tail_abs))
+    )
+    return EvalResult(log_value, cmath.exp(log_value), err, top, "moments")
+
+
+def evaluate_moments(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResult:
+    """Sum the head directly and the whole tail through the digit-level moments.
+
+    ``n_terms`` is a budget: at most n_terms sequence values are summed, and
+    ``terms`` reports the B**(L0+1) actually used (see ``_moment_level``).
+    The recursion profile over the product's base must have |sum v(k)| < B
+    and values of modulus <= 1, and the recursion must be certified for
+    every n >= 1 (HypothesisFailed otherwise), all before any series work.
+    ``err_est`` bounds |log_value - true log|: the order-R truncation of both
+    expansions plus the rounding of the sums.  ``threads`` is validated like
+    the other evaluators' and unused: B**(L0+1) terms are too few to split.
+    """
+    resolve_threads(threads)
+    n_terms = int(n_terms)
+    _round_up_terms(n_terms, spec.base)
+    level = _moment_level(spec, n_terms)
+    profile = recursion_profile(spec.seq, base=spec.base)
+    profile.require_unit_bounds()
+    profile.require_certified()
+    return _moments_at_level(spec, profile.v, level)
 
 
 @dataclass(frozen=True)

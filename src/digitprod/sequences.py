@@ -14,7 +14,9 @@ numbers and in vectorized blocks for the product and summatory machinery:
 ``recursion_profile`` extracts the data (v(0..B-1), n0) of the weak digit
 recursion u(B*n + k) = u(n) * v(k) for n >= 1, verifies it on a range, and
 derives the partial sums of v and the growth exponent used by the tail
-models downstream.
+models downstream.  It also certifies, from the sequence's type and
+parameters alone, whether the checked range proves the recursion for every
+n >= 1 (``RecursionProfile.certified``).
 """
 
 from __future__ import annotations
@@ -302,6 +304,8 @@ class RecursionProfile:
     entry is the full sum, whose modulus must stay below ``base`` for the
     products downstream to converge.  ``alpha`` is the growth exponent of the
     partial sums of u: 1/2 when |sum v| <= 1, else log|sum v| / log base.
+    ``certified`` is True when the recursion checked on [0, checked] provably
+    holds for every n >= 1 (see ``recursion_profile``).
     """
 
     base: int
@@ -312,6 +316,7 @@ class RecursionProfile:
     u_bounded: bool
     v_bounded: bool
     checked: int
+    certified: bool = False
 
     @property
     def v_total(self) -> complex:
@@ -322,6 +327,34 @@ class RecursionProfile:
             raise ValidationError("sequence values exceed modulus 1")
         if not self.v_bounded:
             raise ValidationError("recursion multipliers v(k) exceed modulus 1")
+
+    def require_certified(self) -> None:
+        """Raise HypothesisFailed unless the recursion holds for every n >= 1."""
+        if not self.certified:
+            raise HypothesisFailed(reason=(
+                f"the base-{self.base} digit recursion is checked on "
+                f"[0, {self.checked}] only, and the sequence's type does not "
+                "extend it to every n >= 1"
+            ))
+
+
+def _recursion_certified(seq: ExponentSeq, base: int, checked: int) -> bool:
+    """Whether the recursion, verified on [0, checked], holds for every n >= 1.
+
+    Digit families: when B = b**j for the sequence's base b, the low j base-b
+    digits of B*n + k are those of k, so u(B*n + k) = u(n) * u(k) for a
+    strongly multiplicative u, and every digit statistic is additive over
+    digit levels.  Periodic families: u(B*n + k) and u(n) * v(k) both have
+    the sequence's period in n, so a window holding n = 1 .. period + 1 for
+    every k decides all n.
+    """
+    if isinstance(seq, (StronglyMultiplicative, DigitStatPower)):
+        power = seq.base
+        while power < base:
+            power *= seq.base
+        return power == base
+    period = seq.q if isinstance(seq, PeriodicPower) else seq.period
+    return checked >= base * (period + 1) + base - 1
 
 
 def recursion_profile(
@@ -339,6 +372,7 @@ def recursion_profile(
     ValidationError when a value in the window is not finite, NoNonzeroSeed
     when every candidate seed value vanishes, HypothesisFailed when the
     recursion breaks, and ConvergenceHypothesisViolated when |sum v(k)| >= base.
+    The returned ``certified`` flag costs no sequence values beyond the window.
     """
     b = check_base(base if base is not None else seq.base)
     limit = max(4096, b * (b + 1)) if limit is None else int(limit)
@@ -409,4 +443,5 @@ def recursion_profile(
         u_bounded=u_bounded,
         v_bounded=v_bounded,
         checked=limit,
+        certified=_recursion_certified(seq, b, limit),
     )

@@ -173,6 +173,22 @@ def test_cli_eval_json_fields(capsys):
     assert payload["value_re"] == pytest.approx(2**-0.5, rel=1e-5)
 
 
+def test_cli_eval_method_moments(capsys):
+    argv = ["eval", "--spec", "base=5; exponent=periodic_pow(4,1); factors=1:1-i,2:2,3:1+i",
+            "--terms", "100000"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["method"] == "abel+extrapolation"  # the default
+    code, out = run(capsys, [*argv, "--method", "moments"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "moments"
+    assert payload["terms"] == 5**5
+    assert payload["log_re"] == pytest.approx(-math.log(5), abs=1e-14)
+    assert abs(payload["log_im"]) <= 1e-14
+    assert 0 < payload["err_est"] <= 1e-13
+
+
 def test_cli_eval_complex_multipliers_hit_closed_form(capsys):
     # base-5 fourth-root spec with multipliers 1 - i**k: the complex log of
     # the product is -log(5), so the value is 1/5 with tiny imaginary part
@@ -229,12 +245,13 @@ def test_cli_eval_deterministic_output(capsys):
 def test_cli_verify_pass_and_fail(capsys):
     code, _ = run(capsys, ["verify", "--claim", "woods_robbins", "--terms", "100000"])
     assert code == 0
-    # absurd override tolerance forces a verification failure
-    code, _ = run(
-        capsys,
-        ["verify", "--claim", "eta_count_b3", "--terms", "10000", "--tol", "1e-15"],
-    )
+    # a budget of 27 terms leaves a ~1e-10 error: it fails a 1e-15 override
+    # tolerance and passes a loose one
+    argv = ["verify", "--claim", "eta_count_b3", "--terms", "27", "--tol"]
+    code, _ = run(capsys, [*argv, "1e-15"])
     assert code == 1
+    code, _ = run(capsys, [*argv, "1e-6"])
+    assert code == 0
 
 
 def test_cli_divergent_spec_exit_3(capsys):
@@ -394,7 +411,9 @@ def test_cli_verify_all_passes_at_default_terms(capsys):
 
 
 def test_cli_verify_all_fails_under_truncation(capsys):
-    code, out = run(capsys, ["verify-all", "--terms", "1000"])
+    # 36 = 6**2 is the smallest budget every catalog base accepts; it leaves
+    # a truncation error of up to ~1e-7
+    code, out = run(capsys, ["verify-all", "--terms", "36"])
     assert code == 1
     assert any(l.startswith("FAIL") for l in out.splitlines())
 

@@ -18,7 +18,7 @@ from digitprod.identities import (
     verify_claim,
 )
 from digitprod.identities import _zero_count_spec
-from digitprod.products import evaluate_abel
+from digitprod.products import evaluate_abel, evaluate_moments
 from digitprod.sequences import recursion_profile
 
 
@@ -69,11 +69,15 @@ def test_unknown_claim():
         claim_by_name("no_such_claim")
 
 
-def test_verify_all_at_1e5_has_failures_at_tight_tolerance():
-    # severe under-truncation: not every claim meets its tolerance
+def test_verify_all_at_1e3_passes_at_tight_tolerance():
+    # the moment tail leaves no truncation bias: a budget of 10**3 terms
+    # meets the catalog's 1e-12 on every claim
     summary = verify_all(10**3)
-    assert summary.total >= 14
-    assert summary.passed_count < summary.total
+    assert summary.total == 28
+    assert summary.all_passed, [
+        (r.name, r.rel_err) for r in summary.reports if not r.passed
+    ]
+    assert all(r.tol == 1e-12 and r.terms <= 1000 for r in summary.reports)
 
 
 def test_verify_all_at_default_terms():
@@ -94,9 +98,9 @@ def _count_evaluations(monkeypatch, failing_spec=None):
         time.sleep(0.005)  # widen the window in which a second thread misses
         if spec == failing_spec:
             raise RuntimeError("evaluation failed")
-        return evaluate_abel(spec, n_terms, **kwargs)
+        return evaluate_moments(spec, n_terms, **kwargs)
 
-    monkeypatch.setattr(identities, "evaluate_abel", counted)
+    monkeypatch.setattr(identities, "evaluate_moments", counted)
     return calls
 
 
