@@ -56,6 +56,7 @@ from .products import (
     evaluate_abel,
     evaluate_direct,
     evaluate_moments,
+    resolve_threads,
 )
 from .sequences import (
     DigitStatPower,
@@ -310,13 +311,14 @@ def _spec_from_args(args) -> ProductSpec | ExponentSeq:
 
 def _cmd_eval(args) -> int:
     spec = _require_product(_spec_from_args(args))
+    threads = resolve_threads(args.threads)  # refused for every method
     if args.method == "naive":
-        result = evaluate_direct(spec, args.terms, threads=args.threads)
+        result = evaluate_direct(spec, args.terms, threads=threads)
     elif args.method == "moments":
-        result = evaluate_moments(spec, args.terms, threads=args.threads)
+        result = evaluate_moments(spec, args.terms)
     else:
         result = evaluate_abel(
-            spec, args.terms, extrapolate=(args.method != "abel"), threads=args.threads
+            spec, args.terms, extrapolate=(args.method != "abel"), threads=threads
         )
     payload = result.to_json_dict()
     if args.output == "plain":
@@ -335,7 +337,7 @@ def _cmd_verify(args) -> int:
     claim = claim_by_name(args.claim)
     if args.tol is not None:
         claim = dataclasses.replace(claim, tol=args.tol)
-    report = verify_claim(claim, args.terms, threads=args.threads)
+    report = verify_claim(claim, args.terms)
     if args.output == "plain":
         _print_verify_line(report)
     else:
@@ -404,7 +406,7 @@ def _cmd_summatory(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.what.lower() != "qr":
         raise ValidationError(f"unknown estimate target {args.what!r}")
-    report = estimate_qr(args.terms, threads=args.threads)
+    report = estimate_qr(args.terms)
     if args.output == "plain":
         for key in ("Q", "R", "product_check"):
             print(f"{key}={report[key]!r}")
@@ -518,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("verify", help="verify one catalogued identity")
-    common(p, ("json", "plain"))
+    common(p, ("json", "plain"), threads=False)
     p.add_argument("--claim", required=True)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_verify)
@@ -534,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_summatory)
 
     p = sub.add_parser("estimate", help="estimate the open constants (QR)")
-    common(p, ("json", "plain"))
+    common(p, ("json", "plain"), threads=False)
     p.add_argument("what", help="what to estimate: qr")
     p.set_defaults(handler=_cmd_estimate)
 

@@ -511,19 +511,16 @@ def _part_keys(
     return list(keys)
 
 
-def _evaluate_timed(
-    key: tuple[ProductSpec, int], threads: int
-) -> tuple[EvalResult, float]:
+def _evaluate_timed(key: tuple[ProductSpec, int]) -> tuple[EvalResult, float]:
     spec, n = key
     t0 = time.perf_counter()
-    result = evaluate_moments(spec, n, threads=threads)
+    result = evaluate_moments(spec, n)
     return result, time.perf_counter() - t0
 
 
 def verify_claim(
     claim: IdentityClaim,
     n_terms: int | None = None,
-    threads: int = 1,
     results: dict | None = None,
 ) -> VerifyReport:
     """Evaluate a claim's parts and compare against its closed form.
@@ -535,7 +532,7 @@ def verify_claim(
     n = int(n_terms) if n_terms is not None else claim.cost_hint
     keys = _part_keys([claim], n)
     if results is None:
-        results = {key: _evaluate_timed(key, threads) for key in keys}
+        results = {key: _evaluate_timed(key) for key in keys}
     total_log = complex(0.0)
     err_est = 0.0
     terms = 0
@@ -600,7 +597,7 @@ def verify_all(
         claims = [c for c in claims if c.name in wanted]
     t0 = time.perf_counter()
     keys = _part_keys(claims, n_terms)
-    timed = map_ordered(lambda key: _evaluate_timed(key, 1), keys, threads)
+    timed = map_ordered(_evaluate_timed, keys, threads)
     results = dict(zip(keys, timed))
     reports = [verify_claim(c, n_terms, results=results) for c in claims]
     return VerifySummary(
@@ -628,7 +625,7 @@ def r_product_spec() -> ProductSpec:
     )
 
 
-def estimate_qr(n_terms: int, threads: int = 1) -> dict:
+def estimate_qr(n_terms: int) -> dict:
     """Estimate Q and R and check Q * R = 3/2.
 
     Both are evaluated by ``evaluate_moments`` with the budget n_terms: Q's
@@ -638,8 +635,8 @@ def estimate_qr(n_terms: int, threads: int = 1) -> dict:
     """
     if n_terms < 1000:
         raise ValidationError(f"n_terms must be >= 1000, got {n_terms}")
-    q_res = evaluate_moments(q_product_spec(), n_terms, threads=threads)
-    r_res = evaluate_moments(r_product_spec(), n_terms, threads=threads)
+    q_res = evaluate_moments(q_product_spec(), n_terms)
+    r_res = evaluate_moments(r_product_spec(), n_terms)
     q = q_res.value.real
     r = r_res.value.real
     return {

@@ -457,7 +457,7 @@ def _moments_at_level(spec: ProductSpec, v: tuple[complex, ...], level: int) -> 
     return EvalResult(log_value, cmath.exp(log_value), err, top, "moments")
 
 
-def evaluate_moments(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResult:
+def evaluate_moments(spec: ProductSpec, n_terms: int) -> EvalResult:
     """Sum the head directly and the whole tail through the digit-level moments.
 
     ``n_terms`` is a budget: at most n_terms sequence values are summed, and
@@ -466,10 +466,9 @@ def evaluate_moments(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalR
     and values of modulus <= 1, and the recursion must be certified for
     every n >= 1 (HypothesisFailed otherwise), all before any series work.
     ``err_est`` bounds |log_value - true log|: the order-R truncation of both
-    expansions plus the rounding of the sums.  ``threads`` is validated like
-    the other evaluators' and unused: B**(L0+1) terms are too few to split.
+    expansions plus the rounding of the sums.  It runs on one thread:
+    B**(L0+1) terms are too few to split.
     """
-    resolve_threads(threads)
     n_terms = int(n_terms)
     _round_up_terms(n_terms, spec.base)
     level = _moment_level(spec, n_terms)
