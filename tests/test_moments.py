@@ -149,10 +149,12 @@ def test_next_level_within_err_est(spec):
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_agrees_with_the_direct_sum(spec):
     direct = evaluate_abel(spec, 10**6, extrapolate=False)
-    # summation by parts bounds the direct sum's tail by |F(N) a(N)| times
-    # 1 + 1/(1 - alpha) when |F(n)| grows like n**alpha; the direct sum's
-    # err_est is the boundary term alone, which covers the tail while the
-    # partial sums grow no faster than sqrt(n)
+    # for alpha > 1/2 the direct sum's err_est, the summation-by-parts
+    # boundary term alone, falls short of its own truncation error at 10**6
+    # (by up to 1.5x on the catalog), so the tolerance is widened by
+    # 1 + 1/(1 - alpha).  That factor is a heuristic, not a bound: it assumes
+    # |F(n)| <= |F(N)| (n/N)**alpha beyond N.  It goes once evaluate_abel's
+    # bound is made honest or deleted (ROADMAP item 2).
     alpha = recursion_profile(spec.seq, base=spec.base).alpha
     slack = 1.0 if alpha <= 0.5 else 1.0 + 1.0 / (1.0 - alpha)
     gap = abs(evaluate_moments(spec, 10**6).log_value - direct.log_value)
