@@ -317,9 +317,7 @@ def _cmd_eval(args) -> int:
     elif args.method == "moments":
         result = evaluate_moments(spec, args.terms)
     else:
-        result = evaluate_abel(
-            spec, args.terms, extrapolate=(args.method != "abel"), threads=threads
-        )
+        result = evaluate_abel(spec, args.terms, threads=threads)
     payload = result.to_json_dict()
     if args.output == "plain":
         for key in sorted(payload):
@@ -514,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-file", help="file containing the specification")
     p.add_argument(
         "--method",
-        choices=("naive", "abel", "abel+extrapolation", "moments"),
-        default="abel+extrapolation",
+        choices=("naive", "abel", "moments"),
+        default="moments",
     )
     p.set_defaults(handler=_cmd_eval)
 

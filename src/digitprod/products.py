@@ -26,14 +26,10 @@ summation path, this truncated log-series; three evaluators read it:
   not certified for every n >= 1 (``RecursionProfile.certified``).
 * ``evaluate_direct``: plain truncation, with the final block's
   contribution as an indicative error.
-* ``evaluate_abel``: the same truncated sum, read through summation by
-  parts.  Over [0, N) that is an exact rearrangement, so it changes no value;
-  it supplies the error bound, from the boundary term F(N)*a_N with F the
-  partial sums of the exponent sequence, and the tail model.  Optionally the
-  tail is fitted from the sums one digit level apart (N/B and N): it
-  contracts by the ratio lambda = sum(v)/B per level, with modulus
-  B**(alpha - 1), or by 1/B when the partial sums stay bounded; the fitted
-  tail is subtracted.
+* ``evaluate_abel``: the same truncated sum, bit for bit, with an error
+  bound from summation by parts: the digit recursion bounds the partial sums
+  F of the exponent sequence level by level, and with them the tail beyond
+  N, in closed form.
 
 Truncation indices are rounded up to a multiple of B so every residue class
 sees the same number of blocks, and capped so that B*N <= 2**53, where every
@@ -173,6 +169,7 @@ class EvalResult:
 
 
 _MAX_INDEX = 1 << 53  # B*n + k stays exact in float64 up to here
+_UNIT = 2.0**-53  # unit roundoff of float64
 
 
 def _round_up_terms(n_terms: int, base: int) -> int:
@@ -187,13 +184,13 @@ def _round_up_terms(n_terms: int, base: int) -> int:
     return n
 
 
-def _block_edges(n_terms: int, snapshot: int | None) -> list[int]:
-    # edge 1 keeps F(1) = u(0) among the edge carries of the error bound, and
-    # a distinct trailing block keeps last-block error estimates meaningful
+def _block_edges(n_terms: int) -> list[int]:
+    # the n = 0 term, the largest, is a block of its own: the exact carries
+    # add it once rather than every pairwise sum rounding against it (worth
+    # 0.2 digits on the catalog), and a distinct trailing block keeps
+    # last-block error estimates meaningful
     edges = {0, 1, n_terms, max(1, n_terms - max(n_terms // 8, 1))}
     edges.update(range(_BLOCK, n_terms, _BLOCK))
-    if snapshot is not None:
-        edges.add(snapshot)
     return sorted(e for e in edges if e <= n_terms)
 
 
@@ -201,8 +198,8 @@ def resolve_threads(threads: int) -> int:
     """The worker count for a ``threads`` argument: 0 means min(8, CPUs).
 
     Negative counts raise ValidationError.  ``evaluate_direct``,
-    ``evaluate_abel``, ``evaluate_moments`` and ``identities.verify_all`` call
-    this at entry, so a bad count fails before any series work.
+    ``evaluate_abel`` and ``identities.verify_all`` call this at entry, so a
+    bad count fails before any series work.
     """
     threads = int(threads)
     if threads < 0:
@@ -220,26 +217,17 @@ def map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass
-class _EngineOut:
-    log_at: dict[int, complex]  # truncation index -> combined log-sum
-    f_edge_max: float  # max |F| over the block edges, N and the snapshot included
-    last_block: complex  # final block's contribution to the log-sum
-
-
-def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
-            threads: int) -> _EngineOut:
-    """The log-sum sum_k c_k sum_{n in [start_k, N)} u(n) * a(n, k) from n = 0.
+def _engine(spec: ProductSpec, n_terms: int, threads: int) -> tuple[complex, complex, complex]:
+    """The log-sum sum_k c_k sum_{n in [start_k, N)} u(n) * a(n, k) from n = 0,
+    the partial sum F(N) of u, and the final block's share of the log-sum.
 
     Each block [s, e) contributes sum u(n) and sum_k c_k sum u(n) * a(n, k),
     where factor k skips the first start_k - s entries of the block, so the
     n = 0 term and late starts take the same path as every other n.  Exact
-    carries of these give the log-sums at N and at the snapshot and the
-    partial sums F of u at every block edge; edge 1 keeps F(1) = u(0) among
-    them.
+    carries of these give the log-sum and F(N).
     """
     base, seq, factors = spec.base, spec.seq, spec.factors
-    edges = _block_edges(n_terms, snapshot)
+    edges = _block_edges(n_terms)
 
     def worker(span: tuple[int, int]):
         ns = np.arange(*span, dtype=np.int64)
@@ -261,22 +249,66 @@ def _engine(spec: ProductSpec, n_terms: int, snapshot: int | None,
         return complex(u.sum()), _fsum_c(parts)
 
     results = map_ordered(worker, zip(edges, edges[1:]), threads)
-    usums = [r[0] for r in results]
-    logs = [r[1] for r in results]
-    marks = [n_terms] if snapshot is None else [snapshot, n_terms]
-    return _EngineOut(
-        log_at={m: _fsum_c(logs[: edges.index(m)]) for m in marks},
-        f_edge_max=max(abs(_fsum_c(usums[:i])) for i in range(len(edges))),
-        last_block=logs[-1] if logs else 0j,
-    )
+    last = results[-1][1] if results else 0j
+    return _fsum_c(r[1] for r in results), _fsum_c(r[0] for r in results), last
 
 
-def _boundary_scale(spec: ProductSpec, out: _EngineOut, n_terms: int) -> float:
-    # max |F| times sum_k |c_k| |a(N-1, k)|; F(N) is an edge carry
-    return out.f_edge_max * sum(
-        abs(f.multiplier) * -log_ratio_term(spec.base, f.residue, n_terms - 1)
-        for f in spec.factors
-    )
+def _abs_log_sum(spec: ProductSpec, n_terms: int) -> float:
+    """A bound on sum_k |c_k| sum_{n in [start_k, N)} |a(n, k)|: each
+    |a(n, k)| <= 1/(B*n + k), bounded by its first term plus an integral."""
+    base, total = spec.base, 0.0
+    for f in spec.factors:
+        x0 = base * f.start + f.residue
+        if f.start < n_terms:
+            total += abs(f.multiplier) * (
+                1.0 / x0 + math.log((base * (n_terms - 1) + f.residue) / x0) / base)
+    return total
+
+
+def _tail_bound(spec: ProductSpec, profile: RecursionProfile, f_end: complex,
+                n_terms: int) -> float:
+    """Bound |sum_k c_k sum_{n >= max(N, start_k)} u(n) * a(n, k)|, |u| <= 1.
+
+    Factor k's tail from n0 = max(N, start_k): the at most B - 1 terms below
+    B*m0, m0 = ceil(n0 / B), are each at most |a(n0, k)|.  Beyond, the digit
+    recursion makes it sum_{m >= m0} u(m) (S a(B*m, k) + sum_j v(j) e_j(m)),
+    S = sum v, 0 <= e_j(m) = |a(B*m, k)| - |a(B*m + j, k)| <= j/(B**3 m**2),
+    decreasing in m.  Summation by parts bounds each sum_{m >= m0} u(m) w(m),
+    w >= 0 decreasing, by (|F(m0)| + Phi(L1)) w(m0) + sum_{L >= L1} (Phi(L+1)
+    - Phi(L)) w(B**L), where B**L1 > m0 and Phi(L) >= max_{m <= B**L} |F(m)|;
+    S F(m0) = F(B*m0) - F(B) + u(0) S is exact, F(B*m0) = F(N) at m0 = N/B.
+    F(B*M + b) = F(B) + (F(M) - u(0)) S + u(M) G(b) (``summatory``) gives
+    Phi(L+1) = max(Phi(1), A + s Phi(L)), s = |S|, the offset A = |F(B) -
+    u(0) S| + max |G(b)|: Phi is constant or each jump is s times the one before, so
+    with w(B**L) <= B**(-L-2) or j B**(-2L-3) the jumps sum to geometric
+    series of ratio s/B or s/B**2, both below 1.
+    """
+    base, total = spec.base, profile.v_total
+    s = abs(total)
+    mu = sum(j * abs(vj) for j, vj in enumerate(profile.v))
+    u = spec.seq.block(np.arange(base, dtype=np.int64))
+    f = np.concatenate(([0.0], np.cumsum(u)))  # F(0 .. B)
+    phi_1 = float(np.abs(f).max())
+    offset = abs(complex(f[-1] - u[0] * total)) + max(map(abs, profile.v_prefix[:-1]))
+    err = 0.0
+    for fac in spec.factors:
+        n0 = max(n_terms, fac.start)
+        m0 = -(-n0 // base)
+        level, phi = 1, phi_1
+        while base**level <= m0:
+            level, phi = level + 1, max(phi_1, offset + s * phi)
+        jump = max(phi_1, offset + s * phi) - phi
+        if base * m0 == n_terms:
+            s_f_m0 = abs(complex(f_end - f[-1] + u[0] * total))
+        else:
+            s_f_m0 = s * phi
+        err += abs(fac.multiplier) * (
+            (base * m0 - n0) * -log_ratio_term(base, fac.residue, n0)
+            + (s_f_m0 + s * phi) * -log_ratio_term(base, fac.residue, base * m0)
+            + s * jump / base ** (level + 2) / (1.0 - s / base)
+            + mu * (2.0 * phi / (base**3 * m0 * m0)
+                    + jump / base ** (2 * level + 3) / (1.0 - s / base**2)))
+    return err
 
 
 def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResult:
@@ -289,27 +321,19 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
     if n_terms < 0:
         raise ValidationError(f"n_terms must be nonnegative, got {n_terms}")
     n = _round_up_terms(int(n_terms), spec.base)
-    out = _engine(spec, n, None, threads=threads)
-    log_value = out.log_at[n]
-    return EvalResult(log_value, cmath.exp(log_value), abs(out.last_block), n, "naive")
+    log_sum, _, last_block = _engine(spec, n, threads=threads)
+    return EvalResult(log_sum, cmath.exp(log_sum), abs(last_block), n, "naive")
 
 
-def evaluate_abel(
-    spec: ProductSpec,
-    n_terms: int,
-    extrapolate: bool = True,
-    threads: int = 1,
-) -> EvalResult:
-    """Evaluate the truncated sum with a summation-by-parts error bound.
+def evaluate_abel(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResult:
+    """The direct sum at n_terms, with a summation-by-parts error bound.
 
-    The value at N is the direct sum; summation by parts bounds what lies
-    beyond it by the boundary term F(N)*a_{N-1}.  The recursion profile is
-    taken from the exponent sequence over the product's base and must have
-    |sum v(k)| < B (raises ConvergenceHypothesisViolated otherwise, before any
-    series work).  With ``extrapolate`` the tail is modeled as c * N**e,
-    where e = alpha - 1 when |sum v(k)| > 1 and e = -1 when the partial sums
-    are bounded or grow only logarithmically; the fitted tail is subtracted
-    and its magnitude dominates the error estimate.
+    ``log_value`` is bit-identical to ``evaluate_direct``'s.  ``err_est``
+    bounds the tail beyond N (``_tail_bound``) plus the rounding of the sum.
+    The recursion profile over the product's base must have |sum v(k)| < B
+    and values of modulus <= 1 (ConvergenceHypothesisViolated or
+    ValidationError otherwise, before any series work).  The bound assumes
+    the recursion beyond the profile's window, which is not certified here.
     """
     threads = resolve_threads(threads)
     base = spec.base
@@ -318,34 +342,14 @@ def evaluate_abel(
     n = _round_up_terms(int(n_terms), base)
     profile = recursion_profile(spec.seq, base=base)
     profile.require_unit_bounds()
-
-    # snapshot one digit level below N: the tail contracts by the complex
-    # ratio lambda = sum(v)/B per level (modulus B**(alpha-1)); when the
-    # partial sums stay bounded or grow only logarithmically the tail is
-    # plain c/N and lambda degenerates to 1/B
-    prev = (n // (base * base)) * base
-    use_extrap = extrapolate and base <= prev < n
-    snapshot = prev if use_extrap else None
-
-    out = _engine(spec, n, snapshot, threads=threads)
-    log_n = out.log_at[n]
-
-    if not use_extrap:
-        err = _boundary_scale(spec, out, n)
-        return EvalResult(log_n, cmath.exp(log_n), err, n, "abel")
-
-    log_prev = out.log_at[prev]
-    g_total = profile.v_total
-    lam = g_total / base if abs(g_total) > 1.0 else complex(1.0 / base)
-    tail = (log_n - log_prev) * (lam / (1.0 - lam))
-    log_value = log_n + tail
-    err = abs(tail) + _boundary_scale(spec, out, n)
-    return EvalResult(log_value, cmath.exp(log_value), err, n, "abel+extrapolation")
+    log_sum, f_end, _ = _engine(spec, n, threads=threads)
+    err = (_tail_bound(spec, profile, f_end, n)
+           + (n.bit_length() + 20) * _UNIT * _abs_log_sum(spec, n))
+    return EvalResult(log_sum, cmath.exp(log_sum), err, n, "abel")
 
 
 _MOMENT_ORDER = 8  # R: the moments n**-1 .. n**-R of a digit level
 _MOMENT_HEAD = 256  # the tail starts at the first level with B**L0 >= this
-_UNIT = 2.0**-53  # unit roundoff of float64
 
 
 def _moment_level(spec: ProductSpec, n_terms: int) -> int:
@@ -437,14 +441,8 @@ def _moments_at_level(spec: ProductSpec, v: tuple[complex, ...], level: int) -> 
     moment_trunc = [comb(order, order + 1 - r) * mu[order + 1 - r] * z / base ** (order + 1)
                     for r in range(1, order + 1)]
     # rounding: pairwise sums of at most B**(L0+1) products with a few
-    # roundings each, R more in the powers and the solve; the head's sum of
-    # |a(n, k)| <= 1/(B*n + k) is bounded by its first term plus an integral
-    head_abs = 0.0
-    for f in factors:
-        x0 = base * f.start + f.residue
-        if f.start < head:
-            head_abs += abs(f.multiplier) * (
-                1.0 / x0 + math.log((base * (head - 1) + f.residue) / x0) / base)
+    # roundings each, R more in the powers and the solve
+    head_abs = _abs_log_sum(spec, head)
     roundings = top.bit_length() + 20
     tail_abs = _solve_tail(mat, moments_abs, bound=True)
     tail_err = _solve_tail(mat, moment_trunc, bound=True)

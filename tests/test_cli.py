@@ -176,10 +176,11 @@ def test_cli_eval_json_fields(capsys):
 def test_cli_eval_method_moments(capsys):
     argv = ["eval", "--spec", "base=5; exponent=periodic_pow(4,1); factors=1:1-i,2:2,3:1+i",
             "--terms", "100000"]
-    code, out = run(capsys, argv)
+    code, out = run(capsys, [*argv, "--method", "abel"])
     assert code == 0
-    assert json.loads(out)["method"] == "abel+extrapolation"  # the default
-    code, out = run(capsys, [*argv, "--method", "moments"])
+    assert json.loads(out)["method"] == "abel"
+    assert main([*argv, "--method", "abel+extrapolation"]) == 2
+    code, out = run(capsys, argv)  # the default method
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "moments"

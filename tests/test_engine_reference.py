@@ -82,7 +82,7 @@ def test_direct_matches_reference(spec, n_terms):
 @pytest.mark.parametrize("spec", CASES[:6], ids=range(6))
 @pytest.mark.parametrize("n_terms", [8, 64, 3000])
 def test_abel_partial_matches_reference(spec, n_terms):
-    got = evaluate_abel(spec, n_terms, extrapolate=False)
+    got = evaluate_abel(spec, n_terms)
     want = reference_log(spec, got.terms)
     assert abs(got.log_value - want) <= 1e-11 * max(1.0, abs(want))
 
@@ -91,7 +91,7 @@ def test_block_boundary_sizes_agree():
     # exercise spans straddling the internal block size
     spec = ProductSpec(2, [Factor(1, 1.0)], thue_morse_seq())
     for n_terms in ((1 << 19) - 2, 1 << 19, (1 << 19) + 2, (1 << 20) + 6):
-        a = evaluate_abel(spec, n_terms, extrapolate=False)
+        a = evaluate_abel(spec, n_terms)
         d = evaluate_direct(spec, n_terms)
         assert a.log_value == d.log_value
 

@@ -148,17 +148,21 @@ def test_next_level_within_err_est(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_agrees_with_the_direct_sum(spec):
-    direct = evaluate_abel(spec, 10**6, extrapolate=False)
-    # for alpha > 1/2 the direct sum's err_est, the summation-by-parts
-    # boundary term alone, falls short of its own truncation error at 10**6
-    # (by up to 1.5x on the catalog), so the tolerance is widened by
-    # 1 + 1/(1 - alpha).  That factor is a heuristic, not a bound: it assumes
-    # |F(n)| <= |F(N)| (n/N)**alpha beyond N.  It goes once evaluate_abel's
-    # bound is made honest or deleted (ROADMAP item 2).
-    alpha = recursion_profile(spec.seq, base=spec.base).alpha
-    slack = 1.0 if alpha <= 0.5 else 1.0 + 1.0 / (1.0 - alpha)
+    direct = evaluate_abel(spec, 10**6)
     gap = abs(evaluate_moments(spec, 10**6).log_value - direct.log_value)
-    assert gap <= slack * direct.err_est
+    assert gap <= direct.err_est
+
+
+@pytest.mark.parametrize("n_terms", [10**4, 10**5, 10**6])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_abel_err_est_is_honest_and_tight(spec, n_terms, references):
+    res = evaluate_abel(spec, n_terms)
+    true_err = abs(res.log_value - references[spec])
+    assert true_err <= res.err_est
+    # below 1e-10 the tail cancels to a higher order than the bound follows
+    # (the Thue-Morse specs: 1e-16 at N = 10**4)
+    if true_err > 1e-10:
+        assert res.err_est <= 200 * true_err
 
 
 def test_budget_picks_the_level():
@@ -221,7 +225,7 @@ def test_window_passing_periodic_spec_is_refused():
     with pytest.raises(HypothesisFailed):
         evaluate_moments(spec, 10**6)
     # the direct path is not guarded by the certificate
-    assert evaluate_abel(spec, 10**4).method == "abel+extrapolation"
+    assert evaluate_abel(spec, 10**4).method == "abel"
 
 
 def test_cli_moments_refuses_uncertified_spec_exit_3(monkeypatch, capsys):
