@@ -105,17 +105,46 @@ class DigitStat:
 
 
 def digit_stat(n: int, stat: DigitStat, base: int) -> int:
-    """Evaluate a digit statistic at a single n.  All statistics are 0 at n = 0."""
+    """Evaluate a digit statistic at a single n >= 0, of any size.
+
+    Checks the base, the statistic against it and the sign of n, then
+    counts in one pass (_stat_of).  All statistics are 0 at n = 0.  Unlike
+    digit_stat_block, n is not limited to int64.
+    """
     base = check_base(base)
     stat.check_for_base(base)
-    ds = digits_of(n, base)
-    if stat.kind == "count":
-        return sum(1 for d in ds if d in stat.digits)
-    if stat.kind == "digit_sum":
-        return sum(ds)
-    if stat.kind == "length":
-        return len(ds)
-    raise ValidationError(f"unknown digit statistic {stat.kind!r}")
+    n = int(n)
+    if n < 0:
+        raise ValidationError(f"n must be nonnegative, got {n}")
+    return _stat_of(n, stat, base)
+
+
+def _stat_of(n: int, stat: DigitStat, base: int) -> int:
+    """The statistic of the Python int n >= 0 in one divmod pass over its digits.
+
+    Nothing is checked but the statistic's kind: callers have validated the
+    base, the statistic for that base and n >= 0 (digit_stat on every call,
+    DigitStatPower once in its constructor).  No digit list is built.
+    """
+    kind = stat.kind
+    out = 0
+    if kind == "count":
+        digits = stat.digits
+        while n > 0:
+            n, d = divmod(n, base)
+            if d in digits:
+                out += 1
+    elif kind == "digit_sum":
+        while n > 0:
+            n, d = divmod(n, base)
+            out += d
+    elif kind == "length":
+        while n > 0:
+            n //= base
+            out += 1
+    else:
+        raise ValidationError(f"unknown digit statistic {stat.kind!r}")
+    return out
 
 
 def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:

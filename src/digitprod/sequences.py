@@ -21,14 +21,13 @@ n >= 1 (``RecursionProfile.certified``).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from math import log
 
 import numpy as np
 
-from .digits import DigitStat, check_base, digit_stat, digit_stat_block
+from .digits import DigitStat, _stat_of, check_base, digit_stat_block
 from .errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
@@ -110,20 +109,34 @@ class StronglyMultiplicative:
         return full
 
     def value(self, n: int) -> complex:
-        out = complex(1.0)
+        re, im = 1.0, 0.0
         n = int(n)
         while n > 0:
             n, d = divmod(n, self.base)
             if d:
-                out *= self.values[d - 1]
-        return out
+                v = self.values[d - 1]
+                re, im = re * v.real - im * v.imag, re * v.imag + im * v.real
+        return complex(re, im)
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         x = np.asarray(ns, dtype=np.int64).copy()
-        out = np.ones(x.shape, dtype=self._table.dtype)
+        if self.is_real:
+            out = np.ones(x.shape)
+            while (x > 0).any():
+                out *= self._table[x % self.base]
+                x //= self.base
+            return out
+        # the complex product spelled out in float64 ops, as value() and
+        # Python's complex product compute it: numpy's complex multiply may
+        # fuse them (FMA) and round differently
+        tr, ti = self._table.real, self._table.imag
+        re, im = np.ones(x.shape), np.zeros(x.shape)
         while (x > 0).any():
-            out *= self._table[x % self.base]
+            d = x % self.base
+            re, im = re * tr[d] - im * ti[d], re * ti[d] + im * tr[d]
             x //= self.base
+        out = np.empty(x.shape, dtype=np.complex128)
+        out.real, out.imag = re, im
         return out
 
     def describe(self) -> str:
@@ -152,7 +165,11 @@ class DigitStatPower:
         return _int_power_table(self.w, m_max, self.is_real)
 
     def value(self, n: int) -> complex:
-        return _int_power(self.w, digit_stat(n, self.stat, self.base), self.is_real)
+        # the constructor checked the base and the statistic
+        n = int(n)
+        if n < 0:
+            raise ValidationError(f"n must be nonnegative, got {n}")
+        return _int_power(self.w, _stat_of(n, self.stat, self.base), self.is_real)
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         stats = digit_stat_block(ns, self.stat, self.base)
@@ -192,10 +209,7 @@ class PeriodicPower:
         return tab
 
     def value(self, n: int) -> complex:
-        r = int(n) % self.q
-        if self.is_real:
-            return complex(1.0 if r % 2 == 0 else -1.0)
-        return cmath.exp(2j * cmath.pi * self.p * r / self.q)
+        return complex(self._table[int(n) % self.q])
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.q]

@@ -203,6 +203,33 @@ def test_power_block_matches_per_digit_loop():
     assert np.array_equal(seq.block(ns), reference)
 
 
+def _count_over_digits(n, stat, b):
+    ds = digits_of(n, b)
+    if stat.kind == "count":
+        return sum(d in stat.digits for d in ds)
+    if stat.kind == "digit_sum":
+        return sum(ds)
+    return len(ds)
+
+
+@pytest.mark.parametrize("b", range(2, 8))
+def test_scalar_stat_beyond_int64(b):
+    # only the scalar path takes n past int64; it must still count the digits
+    rng = np.random.default_rng(80 + b)
+    ns = [0, 1, b - 1, b, 2**63, 2**80 - 1] + [
+        int.from_bytes(rng.bytes(10), "little") for _ in range(200)
+    ]
+    for stat in _every_stat(b):
+        for n in ns:
+            assert digit_stat(n, stat, b) == _count_over_digits(n, stat, b), (n, stat)
+        with pytest.raises(ValidationError):
+            digit_stat(-1, stat, b)
+        with pytest.raises(ValidationError):
+            DigitStatPower(b, 0.5, stat).value(-1)
+    with pytest.raises(ValidationError):
+        digit_stat(12, DigitStat("bogus"), b)
+
+
 def test_validation():
     with pytest.raises(ValidationError):
         digits_of(5, 1)

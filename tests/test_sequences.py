@@ -64,7 +64,7 @@ def test_digit_product_oracle(rng):
 
 
 def test_block_matches_scalar(rng):
-    ns = np.arange(0, 3000, dtype=np.int64)
+    # value and block agree bit for bit, from 0 and just below 2**53 // B
     seqs = [
         thue_morse_seq(),
         DigitStatPower(3, 0.5, DigitStat.digit_sum()),
@@ -72,13 +72,17 @@ def test_block_matches_scalar(rng):
         DigitStatPower(2, 1j, DigitStat.digit_sum()),
         PeriodicPower(5, 4, 1),
         PeriodicPower(3, 2, 1),
+        PeriodicPower(7, 6, 1),
         SignedResidue(5, (1, 1, -1, -1)),
         random_table_seq(rng),
     ]
     for seq in seqs:
-        block = seq.block(ns)
-        scalar = np.array([seq.value(int(n)) for n in ns])
-        assert np.abs(block - scalar).max() <= TOL
+        top = 2**53 // seq.base
+        for ns in (np.arange(0, 3000, dtype=np.int64),
+                   np.arange(top - 500, top, dtype=np.int64)):
+            block = seq.block(ns)
+            scalar = np.array([seq.value(int(n)) for n in ns])
+            assert (block == scalar).all(), seq.describe()
 
 
 def test_zero_power_is_one():
