@@ -38,7 +38,6 @@ from .identities import (
     catalog,
     claim_by_name,
     estimate_qr,
-    merge_split_check,
     verify_all,
     verify_claim,
 )

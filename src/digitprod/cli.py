@@ -30,6 +30,7 @@ import dataclasses
 import json
 import re
 import sys
+from math import exp, log
 
 from .digits import DigitStat, digit_stat, digits_of, thue_morse
 from .errors import (
@@ -384,7 +385,13 @@ def _cmd_summatory(args) -> int:
     n = base
     while n <= args.terms:
         f = partial_sum_recursive(profile, seq, n)
-        ratio = abs(f) / n**profile.alpha
+        if not cmath.isfinite(f):
+            raise ValidationError(
+                f"partial sum F(N) is not finite at N = {base}**{len(rows) + 1}"
+            )
+        # in logs, since N**alpha overflows a float past N ~ 1.8e308; a
+        # finite F then gives a finite ratio
+        ratio = exp(log(abs(f)) - profile.alpha * log(n)) if f else 0.0
         rows.append((n, f.real, f.imag, abs(f), ratio))
         n *= base
     if args.output == "json":
@@ -425,8 +432,11 @@ def _cmd_gamma(args) -> int:
             raise ParseError(
                 f"expected a=x1,x2,...;b=y1,y2,... got {args.quotient!r}"
             )
-        a = [float(x) for x in m.group(1).split(",")]
-        b = [float(x) for x in m.group(2).split(",")]
+        try:
+            a = [float(x) for x in m.group(1).split(",")]
+            b = [float(x) for x in m.group(2).split(",")]
+        except ValueError:
+            raise ParseError(f"bad quotient parameter in {args.quotient!r}") from None
         quotient = GammaQuotient(a, b)
         payload = {
             "a": list(quotient.a),

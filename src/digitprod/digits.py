@@ -28,7 +28,6 @@ __all__ = [
     "digit_stat",
     "digit_stat_block",
     "thue_morse",
-    "thue_morse_block",
 ]
 
 
@@ -251,17 +250,3 @@ def thue_morse(n: int) -> int:
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
     return -1 if int(n).bit_count() % 2 else 1
-
-
-_BYTE_PARITY = np.array(
-    [bin(i).count("1") % 2 for i in range(256)], dtype=np.int64
-)
-
-
-def thue_morse_block(ns: np.ndarray) -> np.ndarray:
-    """Vectorized thue_morse over an int64 array of nonnegative n."""
-    x = np.asarray(ns, dtype=np.int64)
-    parity = np.zeros(x.shape, dtype=np.int64)
-    for shift in range(0, 64, 8):
-        parity ^= _BYTE_PARITY[(x >> shift) & 0xFF]
-    return 1 - 2 * parity

@@ -34,14 +34,17 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma({x}) overflows a float") from None
 
 
 @dataclass(frozen=True)
 class GammaQuotient:
     """Balanced parameter lists for prod (n+a_1)...(n+a_d)/((n+b_1)...(n+b_d)).
 
-    Parameters must be real and positive, with sum(a) = sum(b).
+    Parameters must be finite and positive, with sum(a) = sum(b).
     """
 
     a: tuple[float, ...]
@@ -54,12 +57,14 @@ class GammaQuotient:
             raise ValidationError(
                 f"need equally many a and b parameters, got {len(ta)} and {len(tb)}"
             )
-        if any(x <= 0.0 for x in ta + tb):
-            raise ValidationError("all quotient parameters must be positive")
-        if abs(fsum(ta) - fsum(tb)) > 1e-12:
-            raise BalanceError(
-                f"parameter sums differ: {fsum(ta)!r} vs {fsum(tb)!r}"
-            )
+        if not all(math.isfinite(x) and x > 0.0 for x in ta + tb):
+            raise ValidationError("all quotient parameters must be finite and positive")
+        try:
+            sum_a, sum_b = fsum(ta), fsum(tb)
+        except OverflowError:
+            raise ValidationError("quotient parameter sums overflow") from None
+        if abs(sum_a - sum_b) > 1e-12:
+            raise BalanceError(f"parameter sums differ: {sum_a!r} vs {sum_b!r}")
         object.__setattr__(self, "a", ta)
         object.__setattr__(self, "b", tb)
 

@@ -25,11 +25,8 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from math import fsum
 
-import numpy as np
-
-from .digits import DigitStat, thue_morse_block
+from .digits import DigitStat
 from .errors import ValidationError
 from .gammaproducts import GammaQuotient, alternating_pair_quotient, quotient_limit
 from .products import (
@@ -37,7 +34,6 @@ from .products import (
     Factor,
     ProductSpec,
     evaluate_moments,
-    log_ratio_term,
     map_ordered,
     resolve_threads,
 )
@@ -53,9 +49,10 @@ __all__ = [
     "VerifySummary",
     "verify_all",
     "estimate_qr",
-    "MergeSplitReport",
-    "merge_split_check",
 ]
+
+# the term budget of verify_claim and verify_all when none is given
+DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,6 @@ class IdentityClaim:
     rhs: ClosedForm
     cite: str
     tol: float
-    cost_hint: int = 10**6
     note: str = ""
 
     def __post_init__(self):
@@ -503,9 +499,9 @@ def _part_keys(
     claims: list[IdentityClaim], n_terms: int | None
 ) -> list[tuple[ProductSpec, int]]:
     """The distinct (spec, N) evaluations of the claims' parts, in order."""
+    n = int(n_terms) if n_terms is not None else DEFAULT_BUDGET
     keys: dict[tuple[ProductSpec, int], None] = {}  # an insertion-ordered set
     for claim in claims:
-        n = int(n_terms) if n_terms is not None else claim.cost_hint
         for part in claim.parts:
             keys[(part.spec, n)] = None
     return list(keys)
@@ -529,7 +525,7 @@ def verify_claim(
     evaluated already; without it each distinct part is evaluated here.  The
     report's ``seconds`` is the sum of its distinct parts' evaluation times.
     """
-    n = int(n_terms) if n_terms is not None else claim.cost_hint
+    n = int(n_terms) if n_terms is not None else DEFAULT_BUDGET
     keys = _part_keys([claim], n)
     if results is None:
         results = {key: _evaluate_timed(key) for key in keys}
@@ -647,52 +643,3 @@ def estimate_qr(n_terms: int) -> dict:
         "r_err_est": r_res.err_est,
         "terms": max(q_res.terms, r_res.terms),
     }
-
-
-@dataclass(frozen=True)
-class MergeSplitReport:
-    passed: bool
-    checked: int
-    merge_dev: float  # factor merge at each n: a(0,n) + a(1,n) = log(n/(n+1))
-    split_dev: float  # even/odd regrouping of the merged sum
-    head_dev: float  # two-term hand check at the first index
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def merge_split_check(n_limit: int, tol: float = 1e-12) -> MergeSplitReport:
-    """Finite skeleton of the classic evaluation trick, base 2.
-
-    (a) Merging the two residue factors at each n in [1, N) gives
-    log(n/(n+1)) exactly.  (b) Splitting sum_{1 <= m < 2N} e(m) log(m/(m+1))
-    by parity, with e(2n) = e(n) and e(2n+1) = -e(n), reproduces the two
-    factor sums exactly.  In the limit the two steps force the squared
-    prototype product to equal 1/2.
-    """
-    n = int(n_limit)
-    if n < 2 or n & (n - 1):
-        raise ValidationError(f"n_limit must be a power of two >= 2, got {n}")
-
-    ns = np.arange(1, n, dtype=np.int64)
-    a0 = -np.log1p(1.0 / (2 * ns))
-    a1 = -np.log1p(1.0 / (2 * ns + 1))
-    merged = -np.log1p(1.0 / ns)
-    merge_dev = float(np.abs((a0 + a1) - merged).max())
-
-    head_dev = abs(
-        (log_ratio_term(2, 0, 1) + log_ratio_term(2, 1, 1)) - math.log(0.5)
-    )
-
-    ms = np.arange(1, 2 * n, dtype=np.int64)
-    eps_m = thue_morse_block(ms).astype(np.float64)
-    lhs = fsum((eps_m * -np.log1p(1.0 / ms)).tolist())
-    eps_n = thue_morse_block(ns).astype(np.float64)
-    even = fsum((eps_n * a0).tolist())
-    ns0 = np.arange(0, n, dtype=np.int64)
-    eps0 = thue_morse_block(ns0).astype(np.float64)
-    odd = fsum((eps0 * -np.log1p(1.0 / (2 * ns0 + 1))).tolist())
-    split_dev = abs(lhs - (even - odd))
-
-    passed = merge_dev <= tol and split_dev <= tol and head_dev <= tol
-    return MergeSplitReport(passed, n, merge_dev, split_dev, head_dev)

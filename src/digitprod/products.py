@@ -51,7 +51,7 @@ import numpy as np
 
 from .digits import check_base
 from .errors import DomainError, ValidationError
-from .sequences import ExponentSeq, RecursionProfile, recursion_profile
+from .sequences import ExponentSeq, RecursionProfile, recursion_deviation, recursion_profile
 
 __all__ = [
     "Factor",
@@ -545,7 +545,6 @@ def residue_split_check(
     seq: ExponentSeq,
     n_limit: int,
     base: int | None = None,
-    profile: RecursionProfile | None = None,
     tol: float = 1e-12,
 ) -> SplitReport:
     """Finite form of the mod-B split of sum u(m) log(m/(m+1)).
@@ -557,10 +556,9 @@ def residue_split_check(
     b = check_base(base if base is not None else seq.base)
     if n_limit < 1:
         raise ValidationError(f"n_limit must be >= 1, got {n_limit}")
-    if profile is None:
-        profile = recursion_profile(
-            seq, limit=max(4096, b * (b + 1), b * n_limit // 4), base=b
-        )
+    profile = recursion_profile(
+        seq, limit=max(4096, b * (b + 1), b * n_limit // 4), base=b
+    )
 
     u_all = seq.block(np.arange(0, b * n_limit, dtype=np.int64))
 
@@ -572,18 +570,14 @@ def residue_split_check(
     lhs = _fsum_c(lhs_parts)
 
     rhs_parts = []
-    sub_dev = 0.0
     for k in range(b):
         start = 1 if k == 0 else 0
         ns = np.arange(start, n_limit, dtype=np.int64)
         a = _log_ratio_block(b, k, ns)
         u_grouped = u_all[b * ns + k]
         rhs_parts.append(complex(np.dot(u_grouped, a)))
-        ns_pos = ns[ns >= 1]
-        dev = np.abs(u_all[b * ns_pos + k] - u_all[ns_pos] * profile.v[k])
-        if dev.size:
-            sub_dev = max(sub_dev, float(dev.max()))
     rhs = _fsum_c(rhs_parts)
+    sub_dev, _ = recursion_deviation(u_all, profile.v, 1)
 
     split_dev = abs(lhs - rhs)
     passed = split_dev <= tol * max(1.0, abs(lhs)) and sub_dev <= tol

@@ -46,6 +46,7 @@ __all__ = [
     "recursion_profile",
     "StrongMultReport",
     "verify_strong_mult",
+    "recursion_deviation",
 ]
 
 CHECK_TOL = 1e-12
@@ -276,6 +277,34 @@ class StrongMultReport:
         return self.passed
 
 
+def recursion_deviation(
+    u: np.ndarray, v, n_first: int
+) -> tuple[float, tuple[int, int, float] | None]:
+    """Deviations |u(B*n + k) - u(n) * v(k)| over n >= n_first, B*n + k < len(u).
+
+    ``u`` holds u(0), u(1), ... and ``v`` the B = len(v) multipliers.
+    Returns the largest deviation (0.0 when no index fits) and the
+    lexicographically first (n, k, deviation) above CHECK_TOL, or None.
+    """
+    base = len(v)
+    ns = np.arange(n_first, (len(u) - 1) // base + 1, dtype=np.int64)
+    max_dev = 0.0
+    first: tuple[int, int, float] | None = None
+    for k in range(base):
+        idx = base * ns + k
+        sel = idx < len(u)
+        dev = np.abs(u[idx[sel]] - u[ns[sel]] * v[k])
+        if dev.size == 0:
+            continue
+        max_dev = max(max_dev, float(dev.max()))
+        bad = np.nonzero(dev > CHECK_TOL)[0]
+        if bad.size:
+            n_bad = int(ns[sel][bad[0]])
+            if first is None or (n_bad, k) < first[:2]:
+                first = (n_bad, k, float(dev[bad[0]]))
+    return max_dev, first
+
+
 def verify_strong_mult(seq: ExponentSeq, limit: int) -> StrongMultReport:
     """Check u(0) = 1 and u(B*n + k) = u(n) * u(k) for all B*n + k <= limit.
 
@@ -285,29 +314,12 @@ def verify_strong_mult(seq: ExponentSeq, limit: int) -> StrongMultReport:
     if limit < base:
         raise ValidationError(f"limit must be >= base, got {limit} < {base}")
     u = seq.block(np.arange(limit + 1, dtype=np.int64))
-    failures: list[tuple[int, int, float]] = []
-    dev0 = abs(u[0] - 1.0)
+    dev0 = float(abs(u[0] - 1.0))
+    max_dev, first = recursion_deviation(u, u[:base], 0)
     if dev0 > CHECK_TOL:
-        failures.append((0, 0, float(dev0)))
-    max_dev = float(dev0)
-    n_max = limit // base
-    ns = np.arange(0, n_max + 1, dtype=np.int64)
-    for k in range(base):
-        idx = base * ns + k
-        sel = idx <= limit
-        dev = np.abs(u[idx[sel]] - u[ns[sel]] * u[k])
-        if dev.size == 0:
-            continue
-        max_dev = max(max_dev, float(dev.max()))
-        bad = np.nonzero(dev > CHECK_TOL)[0]
-        if bad.size:
-            n_bad = int(ns[sel][bad[0]])
-            failures.append((n_bad, k, float(dev[bad[0]])))
-    if failures:
-        # lexicographically first (n, k)
-        n, k, _ = min(failures)
-        return StrongMultReport(False, limit, max_dev, (n, k))
-    return StrongMultReport(True, limit, max_dev, None)
+        first = (0, 0, dev0)  # no (n, k) comes before u(0)
+    failure = first[:2] if first is not None else None
+    return StrongMultReport(failure is None, limit, max(dev0, max_dev), failure)
 
 
 @dataclass(frozen=True)
@@ -419,20 +431,9 @@ def recursion_profile(
 
     v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
 
-    n_max = limit // b
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    worst: tuple[int, int, float] | None = None
-    for k in range(b):
-        idx = b * ns + k
-        sel = idx <= limit
-        dev = np.abs(u[idx[sel]] - u[ns[sel]] * v[k])
-        bad = np.nonzero(dev > CHECK_TOL)[0]
-        if bad.size:
-            n_bad = int(ns[sel][bad[0]])
-            if worst is None or (n_bad, k) < worst[:2]:
-                worst = (n_bad, k, float(dev[bad[0]]))
-    if worst is not None:
-        raise HypothesisFailed(*worst)
+    _, first = recursion_deviation(u, v, 1)
+    if first is not None:
+        raise HypothesisFailed(*first)
 
     u_bounded = bool(np.abs(u).max() <= 1.0 + CHECK_TOL)
     v_bounded = all(abs(val) <= 1.0 + CHECK_TOL for val in v)

@@ -66,14 +66,16 @@ def partial_sum_recursive(
     fb = complex(sum(seq.value(k) for k in range(b)))
     s_total = profile.v_total
     g = profile.v_prefix
-
-    def rec(m: int) -> complex:
-        if m < b:
-            return complex(sum(seq.value(i) for i in range(m)))
+    # the digit prefixes n, n // B, ... down to the first one below B,
+    # unwound from the shortest: no recursion depth grows with the digits
+    prefixes = [n]
+    while prefixes[-1] >= b:
+        prefixes.append(prefixes[-1] // b)
+    f = complex(sum(seq.value(i) for i in range(prefixes.pop())))
+    for m in reversed(prefixes):
         mq, r = divmod(m, b)
-        return fb + (rec(mq) - u0) * s_total + seq.value(mq) * g[r]
-
-    return rec(n)
+        f = fb + (f - u0) * s_total + seq.value(mq) * g[r]
+    return f
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from digitprod.cli import main
-from digitprod.digits import DigitStat, digits_of, thue_morse_block
+from digitprod.digits import DigitStat, digits_of
 from digitprod.errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
@@ -32,7 +32,6 @@ from digitprod.identities import (
     catalog,
     claim_by_name,
     estimate_qr,
-    merge_split_check,
     verify_all,
     verify_claim,
 )
@@ -49,6 +48,7 @@ from digitprod.sequences import (
     SignedResidue,
     StronglyMultiplicative,
     recursion_profile,
+    thue_morse_seq,
 )
 from digitprod.summatory import partial_sum_direct, partial_sum_recursive
 
@@ -270,15 +270,18 @@ def test_c10_structural_identities(capsys):
             rep = residue_split_check(part.spec.seq, b**6, base=b)
             ok_split &= rep.passed
 
-    trick = merge_split_check(2**10)
+    # the classic base-2 trick: merge the residue factors, then split by parity
+    merge = telescoping_check(thue_morse_seq(), 2**10)
+    split = residue_split_check(thue_morse_seq(), 2**10)
+    ok_trick = merge.passed and split.passed
 
     with capsys.disabled():
         passfail("C10 telescoping, all bases <= 10 at 1e4", ok_tel)
         passfail(f"C10 residue split, {len(seen)} catalog sequences at B**6",
                  ok_split)
-        passfail("C10 merge/split skeleton at 2**10", trick.passed,
-                 merge_dev=trick.merge_dev, split_dev=trick.split_dev)
-    assert ok_tel and ok_split and trick.passed
+        passfail("C10 merge/split skeleton at 2**10", ok_trick,
+                 merge_dev=merge.max_pointwise_dev, split_dev=split.split_dev)
+    assert ok_tel and ok_split and ok_trick
 
 
 def test_c11_divergence_guard(capsys):
@@ -297,7 +300,7 @@ def test_c11_divergence_guard(capsys):
 
 def test_c12_thue_morse_partial_sums_bounded(capsys):
     n = 2**24
-    eps = thue_morse_block(np.arange(n, dtype=np.int64)).astype(np.int8)
+    eps = thue_morse_seq().block(np.arange(n, dtype=np.int64)).astype(np.int8)
     sums = np.cumsum(eps, dtype=np.int32)
     lo, hi = int(sums.min()), int(sums.max())
     ok = -1 <= lo and hi <= 1

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -375,6 +377,26 @@ def test_cli_summatory_csv(capsys):
     assert float(first[1]) == 1.5  # u(0) + u(1) = 1 + 1/2
 
 
+def test_cli_summatory_beyond_float_range(capsys):
+    # N = 999**133 > 1.8e308 is no float; (-1)**n sums to 1 over odd N
+    code, out = run(capsys, ["summatory", "--spec",
+                             "base=999; exponent=periodic_pow(2,1)",
+                             "--terms", str(10**400)])
+    assert code == 0
+    n, re_f, _, _, ratio = out.strip().splitlines()[-1].split(",")
+    assert int(n) == 999**133 and float(re_f) == 1.0
+    assert float(ratio) == pytest.approx(math.exp(-0.5 * math.log(999**133)))
+
+
+def test_cli_summatory_non_finite_partial_sum_exit_2(capsys):
+    # F(100**j) = 95.2**j overflows a float from j = 156
+    code, out = run(capsys, ["summatory", "--spec",
+                             "base=100; exponent=digit_sum_pow(0.999)",
+                             "--terms", str(10**400)])
+    assert code == 2
+    assert out == ""
+
+
 def test_cli_estimate_qr(capsys):
     code, out = run(capsys, ["estimate", "qr", "--terms", "100000"])
     assert code == 0
@@ -392,6 +414,20 @@ def test_cli_gamma_quotient(capsys):
     code, out = run(capsys, ["gamma", "--quotient", "a=1,1,b=0.5,1.5"])
     assert code == 0
     assert json.loads(out)["limit"] == payload["limit"]
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    ["a=1,x;b=0.5,1.5", "a=inf,1;b=inf,1", "a=1e308,1e308;b=1e308,1e308",
+     "a=1e306,1;b=1e306,1"],
+    ids=["not-a-number", "infinite", "sum-overflows", "log-gamma-overflows"],
+)
+def test_cli_gamma_quotient_bad_input_exit_2(capsys, quotient):
+    code = main(["gamma", "--quotient", quotient])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_gamma_odd_base(capsys):
@@ -417,6 +453,16 @@ def test_cli_verify_all_fails_under_truncation(capsys):
     code, out = run(capsys, ["verify-all", "--terms", "36"])
     assert code == 1
     assert any(l.startswith("FAIL") for l in out.splitlines())
+
+
+def test_cli_readme_examples_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("digitprod ")]
+    assert len(lines) >= 9
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 def test_module_entry_point():

@@ -10,11 +10,10 @@ from digitprod.digits import (
     digits_of,
     from_digits,
     thue_morse,
-    thue_morse_block,
 )
 from digitprod.digits import _per_digit_stats
 from digitprod.errors import ValidationError
-from digitprod.sequences import DigitStatPower
+from digitprod.sequences import DigitStatPower, thue_morse_seq
 
 bases = st.integers(min_value=2, max_value=16)
 naturals = st.integers(min_value=0, max_value=10**15)
@@ -154,7 +153,7 @@ def test_block_matches_scalar():
         ):
             _assert_matches_scalar(np.arange(s, e, dtype=np.int64), b)
     ns = np.arange(0, 5000, dtype=np.int64)
-    tm = thue_morse_block(ns)
+    tm = thue_morse_seq().block(ns)
     assert (tm == np.array([thue_morse(int(n)) for n in ns])).all()
 
 

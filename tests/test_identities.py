@@ -13,7 +13,6 @@ from digitprod.identities import (
     catalog,
     claim_by_name,
     estimate_qr,
-    merge_split_check,
     verify_all,
     verify_claim,
 )
@@ -272,13 +271,6 @@ def test_estimate_qr():
 def test_estimate_qr_validates_terms():
     with pytest.raises(ValidationError):
         estimate_qr(10)
-
-
-def test_merge_split_check():
-    assert merge_split_check(2**10).passed
-    assert merge_split_check(2).passed
-    with pytest.raises(ValidationError):
-        merge_split_check(1000)  # not a power of two
 
 
 @pytest.mark.slow

@@ -36,6 +36,14 @@ def test_recursive_equals_direct_thue_morse():
         assert abs(partial_sum_recursive(prof, tm, n) - partial_sum_direct(tm, n)) <= 1e-9
 
 
+def test_recursive_beyond_the_recursion_limit():
+    # 1100 binary digits: one step per digit, no Python recursion
+    tm = thue_morse_seq()
+    prof = recursion_profile(tm, 4096)
+    assert partial_sum_recursive(prof, tm, 2**1100) == 0
+    assert partial_sum_recursive(prof, tm, 2**1100 + 1) == -1
+
+
 def test_recursive_equals_direct_digit_sum_power():
     seq = DigitStatPower(2, 0.5, DigitStat.digit_sum())
     prof = recursion_profile(seq, 4096)
