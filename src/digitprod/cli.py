@@ -30,9 +30,10 @@ import dataclasses
 import json
 import re
 import sys
+from collections import Counter
 from math import exp, log
 
-from .digits import DigitStat, digit_stat, digits_of, thue_morse
+from .digits import DigitStat, digits_of, thue_morse
 from .errors import (
     ConvergenceHypothesisViolated,
     DigitprodError,
@@ -475,13 +476,16 @@ def _cmd_gamma(args) -> int:
 def _cmd_digits(args) -> int:
     ds = digits_of(args.n, args.base)
     rendered = "".join(str(d) for d in reversed(ds)) if ds else "0"
-    counts = {str(j): digit_stat(args.n, DigitStat.count(j), args.base) for j in range(args.base)}
+    # every statistic from the one digit list: a digit_stat call per count
+    # would build and cache level tables for each of the base's digits
+    tally = Counter(ds)
+    counts = {str(j): tally[j] for j in range(args.base)}
     payload = {
         "n": args.n,
         "base": args.base,
         "digits": rendered,
         "length": len(ds),
-        "digit_sum": digit_stat(args.n, DigitStat.digit_sum(), args.base),
+        "digit_sum": sum(ds),
         "counts": counts,
     }
     if args.base == 2:

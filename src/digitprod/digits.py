@@ -107,8 +107,10 @@ def digit_stat(n: int, stat: DigitStat, base: int) -> int:
     """Evaluate a digit statistic at a single n >= 0, of any size.
 
     Checks the base, the statistic against it and the sign of n, then
-    counts in one pass (_stat_of).  All statistics are 0 at n = 0.  Unlike
-    digit_stat_block, n is not limited to int64.
+    counts a digit level at a time from the same cached tables as
+    digit_stat_block (_stat_of), so both give the same int.  All statistics
+    are 0 at n = 0.  Unlike digit_stat_block, n is not limited to int64.
+    The first call for a (statistic, base <= 4096) pair builds its tables.
     """
     base = check_base(base)
     stat.check_for_base(base)
@@ -119,12 +121,23 @@ def digit_stat(n: int, stat: DigitStat, base: int) -> int:
 
 
 def _stat_of(n: int, stat: DigitStat, base: int) -> int:
-    """The statistic of the Python int n >= 0 in one divmod pass over its digits.
+    """The statistic of the Python int n >= 0, a digit level at a time.
 
-    Nothing is checked but the statistic's kind: callers have validated the
-    base, the statistic for that base and n >= 0 (digit_stat on every call,
-    DigitStatPower once in its constructor).  No digit list is built.
+    Bases up to 4096 read digit_stat_block's level tables as lists of Python
+    ints (_level_lists): with P = B**j, each divmod(n, P) adds padded[r] and
+    the last high part adds natural[n], so n < 2**53 takes ~5 steps in base
+    2.  Larger bases, whose one-digit level would not fit a table, take one
+    divmod per digit.  Nothing is checked but the statistic's kind: callers
+    have validated the base, the statistic for that base and n >= 0
+    (digit_stat on every call, DigitStatPower once in its constructor).
     """
+    if base <= _TABLE_LIMIT:
+        p, natural, padded = _level_lists(stat, base)
+        out = 0
+        while n >= p:
+            n, r = divmod(n, p)
+            out += padded[r]
+        return out + natural[n]
     kind = stat.kind
     out = 0
     if kind == "count":
@@ -181,9 +194,14 @@ def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
 
 
 _TABLE_LIMIT = 4096
+# (statistic, base) pairs whose level tables stay cached.  A pair's tables,
+# as arrays and as lists, take up to ~95 KB, so a caller cycling through many
+# statistics (one count per digit of base 4096, say) keeps ~24 MB of them,
+# not ~390 MB.
+_TABLE_CACHE = 256
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE)
 def _level_tables(stat: DigitStat, base: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(P, natural, padded) for P = B**j, the largest power of B <= 4096.
 
@@ -206,6 +224,17 @@ def _level_tables(stat: DigitStat, base: int) -> tuple[int, np.ndarray, np.ndarr
     natural.flags.writeable = False
     padded.flags.writeable = False
     return p, natural, padded
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _level_lists(stat: DigitStat, base: int) -> tuple[int, list[int], list[int]]:
+    """_level_tables as lists of Python ints, for the scalar path (_stat_of).
+
+    Indexing a list is several times faster than indexing a numpy array, and
+    it yields an int, not an np.int64.
+    """
+    p, natural, padded = _level_tables(stat, base)
+    return p, natural.tolist(), padded.tolist()
 
 
 def _range_stats(s: int, e: int, stat: DigitStat, base: int) -> np.ndarray:

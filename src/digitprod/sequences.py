@@ -57,27 +57,24 @@ def _as_complex_tuple(values) -> tuple[complex, ...]:
 
 
 def _int_power_table(w: complex, m_max: int, real: bool) -> np.ndarray:
-    """Powers w**0 .. w**m_max by iterated multiplication (no branch cuts)."""
-    if real:
-        out = np.empty(m_max + 1, dtype=np.float64)
-        out[0] = 1.0
-        wr = w.real
-        for m in range(1, m_max + 1):
-            out[m] = out[m - 1] * wr
-    else:
-        out = np.empty(m_max + 1, dtype=np.complex128)
-        out[0] = 1.0
-        for m in range(1, m_max + 1):
-            out[m] = out[m - 1] * w
+    """Powers w**0 .. w**m_max by iterated multiplication (no branch cuts).
+
+    Powers that overflow become inf or nan without a warning, as Python's
+    float and complex products do; callers check finiteness where it matters.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if real:
+            out = np.empty(m_max + 1, dtype=np.float64)
+            out[0] = 1.0
+            wr = w.real
+            for m in range(1, m_max + 1):
+                out[m] = out[m - 1] * wr
+        else:
+            out = np.empty(m_max + 1, dtype=np.complex128)
+            out[0] = 1.0
+            for m in range(1, m_max + 1):
+                out[m] = out[m - 1] * w
     return out
-
-
-def _int_power(w: complex, m: int, real: bool) -> complex:
-    acc = 1.0 if real else complex(1.0)
-    base = w.real if real else w
-    for _ in range(m):
-        acc = acc * base
-    return complex(acc)
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,16 @@ class StronglyMultiplicative:
 
 @dataclass(frozen=True)
 class DigitStatPower:
-    """u(n) = w ** stat(n) for a digit statistic in the sequence's base."""
+    """u(n) = w ** stat(n) for a digit statistic in the sequence's base.
+
+    value() and block() index one cached table of the powers w**0 .. w**m,
+    built by iterated multiplication (_int_power_table), so the two agree bit
+    for bit by construction.  A statistic beyond the table builds a new table
+    at least twice as long and rebinds it; a table is never extended in
+    place, so block() calls on other threads only ever see a whole one.  Each
+    call indexes the table it read or built, so no lock is needed: two
+    threads that rebuild at once cost a rebuild, not a wrong value.
+    """
 
     base: int
     w: complex
@@ -157,25 +163,32 @@ class DigitStatPower:
         object.__setattr__(self, "w", complex(w))
         stat.check_for_base(self.base)
         object.__setattr__(self, "stat", stat)
+        object.__setattr__(self, "_powers", np.empty(0))
 
     @cached_property
     def is_real(self) -> bool:
         return self.w.imag == 0.0
 
     def _powers_up_to(self, m_max: int) -> np.ndarray:
-        return _int_power_table(self.w, m_max, self.is_real)
+        """The power table w**0 .. w**m for some m >= m_max."""
+        table = self._powers
+        if m_max >= len(table):
+            table = _int_power_table(self.w, max(m_max, 2 * len(table)), self.is_real)
+            table.flags.writeable = False  # shared by every caller
+            object.__setattr__(self, "_powers", table)
+        return table
 
     def value(self, n: int) -> complex:
         # the constructor checked the base and the statistic
         n = int(n)
         if n < 0:
             raise ValidationError(f"n must be nonnegative, got {n}")
-        return _int_power(self.w, _stat_of(n, self.stat, self.base), self.is_real)
+        m = _stat_of(n, self.stat, self.base)
+        return complex(self._powers_up_to(m)[m])
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         stats = digit_stat_block(ns, self.stat, self.base)
-        table = self._powers_up_to(int(stats.max(initial=0)))
-        return table[stats]
+        return self._powers_up_to(int(stats.max(initial=0)))[stats]
 
     def describe(self) -> str:
         return f"{self.w}^{self.stat.describe()}(base={self.base})"

@@ -12,7 +12,7 @@ recursion constrains only n >= 1.  Cost is O(log^2 N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import exp, log
 
 import numpy as np
 
@@ -109,7 +109,8 @@ def growth_check(
         raise ValidationError("checkpoints must be nonempty and increasing")
     alpha = profile.alpha
     fs = [abs(partial_sum_recursive(profile, seq, p)) for p in pts]
-    ratios = tuple(f / p**alpha for f, p in zip(fs, pts))
+    # in logs, since p**alpha needs p as a float and overflows past ~1.8e308
+    ratios = tuple(exp(log(f) - alpha * log(p)) if f else 0.0 for f, p in zip(fs, pts))
     c_log = None
     if abs(profile.v_total) <= 1.0:
         c_log = max(f / log(p) for f, p in zip(fs, pts) if p > 1)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digitprod.cli import main, parse_complex, parse_spec, render_complex, render_spec
-from digitprod.digits import DigitStat
+from digitprod.digits import DigitStat, _level_tables, digits_of
 from digitprod.errors import ParseError, ValidationError
 from digitprod.identities import catalog, r_product_spec
 from digitprod.products import Factor, ProductSpec
@@ -148,6 +148,19 @@ def test_cli_digits_json(capsys):
     payload = json.loads(out)
     assert payload["digits"] == "1101"
     assert payload["thue_morse"] == -1
+
+
+def test_cli_digits_reads_one_digit_list(capsys):
+    # one count per digit of base 4096 must not build a level table each
+    n = 10**60 + 12345
+    before = _level_tables.cache_info().currsize
+    code, out = run(capsys, ["digits", "--n", str(n), "--base", "4096", "--output", "json"])
+    assert code == 0
+    assert _level_tables.cache_info().currsize == before
+    payload = json.loads(out)
+    ds = digits_of(n, 4096)
+    assert payload["length"] == len(ds) and payload["digit_sum"] == sum(ds)
+    assert payload["counts"] == {str(j): ds.count(j) for j in range(4096)}
 
 
 def test_cli_eval_json_fields(capsys):

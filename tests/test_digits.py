@@ -11,7 +11,7 @@ from digitprod.digits import (
     from_digits,
     thue_morse,
 )
-from digitprod.digits import _per_digit_stats
+from digitprod.digits import _TABLE_CACHE, _level_lists, _level_tables, _per_digit_stats
 from digitprod.errors import ValidationError
 from digitprod.sequences import DigitStatPower, thue_morse_seq
 
@@ -198,7 +198,10 @@ def test_power_block_matches_per_digit_loop():
     seq = DigitStatPower(3, 1j, DigitStat.digit_sum())
     ns = np.arange(3**12 + 5, 3**12 + 5 + (1 << 19), dtype=np.int64)
     stats = _per_digit_stats(ns, seq.stat, 3)
-    reference = seq._powers_up_to(int(stats.max()))[stats]
+    powers = [complex(1.0)]
+    for _ in range(int(stats.max())):
+        powers.append(powers[-1] * seq.w)
+    reference = np.array(powers)[stats]
     assert np.array_equal(seq.block(ns), reference)
 
 
@@ -211,14 +214,17 @@ def _count_over_digits(n, stat, b):
     return len(ds)
 
 
-@pytest.mark.parametrize("b", range(2, 8))
+@pytest.mark.parametrize("b", [*range(2, 8), 4096, 4097, 10**6])
 def test_scalar_stat_beyond_int64(b):
-    # only the scalar path takes n past int64; it must still count the digits
+    # only the scalar path takes n past int64; it must still count the digits,
+    # from the level tables up to base 4096 and one digit at a time above
     rng = np.random.default_rng(80 + b)
-    ns = [0, 1, b - 1, b, 2**63, 2**80 - 1] + [
-        int.from_bytes(rng.bytes(10), "little") for _ in range(200)
+    ns = [0, 1, b - 1, b, b * b - 1, b * b, 2**63, 2**80 - 1, 2**300 - 1, 2**300] + [
+        int.from_bytes(rng.bytes(int(rng.integers(1, 38))), "little") for _ in range(200)
     ]
-    for stat in _every_stat(b):
+    # digit_stat checks a set's digits against the base on every call, so
+    # base 10**6 leaves out the set of all its nonzero digits
+    for stat in [s for s in _every_stat(b) if len(s.digits) <= 4096]:
         for n in ns:
             assert digit_stat(n, stat, b) == _count_over_digits(n, stat, b), (n, stat)
         with pytest.raises(ValidationError):
@@ -227,6 +233,16 @@ def test_scalar_stat_beyond_int64(b):
             DigitStatPower(b, 0.5, stat).value(-1)
     with pytest.raises(ValidationError):
         digit_stat(12, DigitStat("bogus"), b)
+
+
+def test_level_table_caches_are_bounded():
+    # one statistic per digit of base 4096 must not keep a table pair each
+    n = 10**60 + 12345
+    ds = digits_of(n, 4096)
+    for j in range(_TABLE_CACHE + 40):
+        assert digit_stat(n, DigitStat.count(j), 4096) == ds.count(j)
+    assert _level_tables.cache_info().currsize <= _TABLE_CACHE
+    assert _level_lists.cache_info().currsize <= _TABLE_CACHE
 
 
 def test_validation():

@@ -1,4 +1,6 @@
 import cmath
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -89,6 +91,61 @@ def test_zero_power_is_one():
     seq = DigitStatPower(2, 0.0, DigitStat.digit_sum())
     assert seq.value(0) == 1  # 0**0 := 1
     assert seq.value(3) == 0
+
+
+@pytest.mark.parametrize("w", [0.9999, 0.6 - 0.7j])
+def test_power_table_outgrows_its_first_statistic(w):
+    # small statistics fill the first power table; digit sums in base 1000
+    # near 10**400 reach ~10**5 and need longer ones
+    def explicit_power(m):
+        acc = 1.0 if w.imag == 0 else complex(1.0)
+        for _ in range(m):
+            acc = acc * w
+        return complex(acc)
+
+    seq = DigitStatPower(1000, w, DigitStat.digit_sum())
+    for n in (7, 10**400 - 1, 999, 10**400 + 12345, 10**401 - 1, 5 * 10**399 + 1):
+        assert seq.value(n) == explicit_power(sum(digits_of(n, 1000))), n
+    ns = np.arange(10**6 - 2000, 10**6 + 2000, dtype=np.int64)
+    assert (seq.block(ns) == np.array([seq.value(int(n)) for n in ns])).all()
+
+
+def test_power_table_shared_by_threads():
+    # block() runs on map_ordered's pool threads, so threads grow and read one
+    # power table at once: none may see a table too short or half built
+    w = 0.6 - 0.7j
+    ns = [int("999" * k) for k in range(1, 120, 7)]  # digit sums 999 * k
+    blocks = [np.arange(1000**k - 300, 1000**k + 300, dtype=np.int64) for k in (1, 2, 5)]
+    reference = DigitStatPower(1000, w, DigitStat.digit_sum())
+    want_values = [reference.value(n) for n in ns]
+    want_blocks = [reference.block(b) for b in blocks]
+    shared = DigitStatPower(1000, w, DigitStat.digit_sum())
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(len(ns)):
+                j = (i + offset) % len(ns)
+                if shared.value(ns[j]) != want_values[j]:
+                    errors.append(("value", j))
+                b = (i + offset) % len(blocks)
+                if not np.array_equal(shared.block(blocks[b]), want_blocks[b]):
+                    errors.append(("block", b))
+        except Exception as exc:  # an IndexError would mean a short table
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_verify_strong_mult():

@@ -125,6 +125,19 @@ def test_growth_alpha_values():
     assert rep.c_est < 4.0
 
 
+def test_growth_beyond_float_range():
+    # N**alpha would need N as a float, which overflows past ~1.8e308
+    tm = thue_morse_seq()
+    rep = growth_check(recursion_profile(tm), tm, [2**1030, 2**1031])
+    assert rep.passed and rep.ratios == (0.0, 0.0)  # F(2**k) = 0 for k >= 1
+
+    half = DigitStatPower(2, 0.5, DigitStat.digit_sum())
+    rep = growth_check(recursion_profile(half), half, [2**1030, 2**1031, 2**1032])
+    # F(2**k) = 1.5**k = (2**k)**alpha
+    assert rep.passed
+    assert all(abs(r - 1.0) <= 1e-12 for r in rep.ratios)
+
+
 def test_growth_checkpoint_validation():
     tm = thue_morse_seq()
     prof = recursion_profile(tm, 4096)
