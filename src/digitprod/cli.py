@@ -37,7 +37,6 @@ from .digits import DigitStat, digits_of, thue_morse
 from .errors import (
     ConvergenceHypothesisViolated,
     DigitprodError,
-    DomainError,
     HypothesisFailed,
     NoNonzeroSeed,
     ParseError,
@@ -66,6 +65,7 @@ from .sequences import (
     PeriodicPower,
     StronglyMultiplicative,
     recursion_profile,
+    thue_morse_seq,
 )
 from .summatory import partial_sum_recursive
 
@@ -121,7 +121,7 @@ def render_complex(z: complex) -> str:
 
 _KIND_RE = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
 # base-2 parity sequence; ``exponent=thue_morse`` names it under any base
-_THUE_MORSE = DigitStatPower(2, -1.0, DigitStat.count(1))
+_THUE_MORSE = thue_morse_seq()
 
 
 def _parse_exponent(text: str, base: int, position: int) -> ExponentSeq:
@@ -580,10 +580,7 @@ def main(argv=None) -> int:
             ProfileMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT
-    except (ParseError, ValidationError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DigitprodError as exc:
+    except (DigitprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -57,15 +57,13 @@ DEFAULT_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Right-hand side of a claim: B**e, p/q, 1, an explicit value, or a
-    Gamma quotient."""
+    """Right-hand side of a claim: B**e, p/q or a Gamma quotient."""
 
     kind: str
     exponent: complex = 0.0
     numer: int = 0
     denom: int = 1
     quotient: GammaQuotient | None = None
-    label: str = ""
 
     @staticmethod
     def power_of_base(exponent) -> "ClosedForm":
@@ -76,33 +74,17 @@ class ClosedForm:
         return ClosedForm("rational", numer=int(numer), denom=int(denom))
 
     @staticmethod
-    def one() -> "ClosedForm":
-        return ClosedForm("one")
-
-    @staticmethod
-    def gamma_ref(quotient: GammaQuotient, label: str = "") -> "ClosedForm":
-        return ClosedForm("gamma_quotient", quotient=quotient, label=label)
+    def gamma_ref(quotient: GammaQuotient) -> "ClosedForm":
+        return ClosedForm("gamma_quotient", quotient=quotient)
 
     def value(self, base: int) -> complex:
         if self.kind == "power_of_base":
             return cmath.exp(self.exponent * math.log(base))
         if self.kind == "rational":
             return complex(self.numer / self.denom)
-        if self.kind == "one":
-            return complex(1.0)
         if self.kind == "gamma_quotient":
             return complex(quotient_limit(self.quotient))
         raise ValidationError(f"unknown closed form {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "power_of_base":
-            e = self.exponent
-            return f"B**({e.real:g})" if e.imag == 0 else f"B**({e})"
-        if self.kind == "rational":
-            return f"{self.numer}/{self.denom}"
-        if self.kind == "one":
-            return "1"
-        return self.label or "gamma quotient"
 
 
 @dataclass(frozen=True)
@@ -123,23 +105,30 @@ class Part:
         raise ValidationError(f"unknown component {self.component!r}")
 
 
+# the relative tolerance of every catalog claim; ``verify --tol`` overrides it
+CATALOG_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class IdentityClaim:
+    """Closed form ``rhs`` for exp(sum of the parts' contributions).
+
+    Every part is a product in one base, the claim's ``base``.
+    """
+
     name: str
-    base: int
     parts: tuple[Part, ...]
     rhs: ClosedForm
     cite: str
-    tol: float
-    note: str = ""
+    tol: float = CATALOG_TOL
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValidationError(f"tolerance must be positive, got {self.tol}")
 
-
-def _tm():
-    return thue_morse_seq()
+    @property
+    def base(self) -> int:
+        return self.parts[0].spec.base
 
 
 def _odd_residues(base: int) -> list[int]:
@@ -184,168 +173,134 @@ def _zero_count_spec(base: int, z: complex, scaled: bool) -> ProductSpec:
 
 
 def catalog() -> list[IdentityClaim]:
-    """All catalogued claims, each with relative tolerance 1e-12.
+    """All catalogued claims, each with relative tolerance CATALOG_TOL.
 
     The moment evaluator reaches about 1e-15 on every claim from the default
     budget down to N = 10**3, for every exponent class alike, so one
     tolerance serves the whole catalog with a 1000-fold margin."""
     claims: list[IdentityClaim] = []
 
-    def add(name, base, parts, rhs, cite, tol, note=""):
-        claims.append(
-            IdentityClaim(name, base, tuple(parts), rhs, cite, tol, note=note)
-        )
+    def add(name, parts, rhs, cite):
+        claims.append(IdentityClaim(name, tuple(parts), rhs, cite))
 
     sqrt3 = math.sqrt(3.0)
 
     # the parity-of-ones prototype and its squared form
-    wr_spec = ProductSpec(2, [Factor(1, 1.0)], _tm())
+    wr_spec = ProductSpec(2, [Factor(1, 1.0)], thue_morse_seq())
     add(
         "woods_robbins",
-        2,
         [Part(wr_spec)],
         ClosedForm.power_of_base(-0.5),
         "Woods-Robbins product over (2n+1)/(2n+2)",
-        1e-12,
     )
     add(
         "woods_robbins_squared",
-        2,
-        [Part(ProductSpec(2, [Factor(1, 2.0)], _tm()))],
+        [Part(ProductSpec(2, [Factor(1, 2.0)], thue_morse_seq()))],
         ClosedForm.rational(1, 2),
         "squared Woods-Robbins product, multiplier 1 - u(1) = 2",
-        1e-12,
     )
 
     # strongly multiplicative table exponent with a complex fourth root
     i_s3 = DigitStatPower(3, 1j, DigitStat.digit_sum())
     add(
         "strong_mult_gauss_b3",
-        3,
         [Part(ProductSpec(3, [Factor(1, 1 - 1j), Factor(2, 2.0)], i_s3))],
         ClosedForm.rational(1, 3),
         "strongly multiplicative product with i**digit_sum exponents, base 3",
-        1e-12,
     )
 
-    # zero-count exponents (base 2, z = 1/2)
+    # zero-count exponents (base 2, z = 1/2); the scaled product equals 1/B,
+    # consistent with the unscaled log form
     add(
         "zero_count_scaled_b2",
-        2,
         [Part(_zero_count_spec(2, 0.5, scaled=True))],
         ClosedForm.rational(1, 2),
         "zero-count product with multiplier 1 - z",
-        1e-12,
-        note="the product equals 1/B (consistent with the unscaled log form)",
     )
     add(
         "zero_count_log_b2",
-        2,
         [Part(_zero_count_spec(2, 0.5, scaled=False))],
         ClosedForm.power_of_base(1.0 / (0.5 - 1.0)),
         "zero-count product, unscaled exponent, value B**(1/(z-1))",
-        1e-12,
     )
 
     # roots of unity with base = 1 mod q, and the squared (sigma) forms
     r5 = _roots_spec(5, 4)
     add(
         "roots_unity_sin_b5",
-        5,
         [Part(r5, 0.5, "real")],
         ClosedForm.power_of_base(-0.5),
         "sine pair product over base 5, fourth roots of unity",
-        1e-12,
     )
     add(
         "roots_unity_cos_b5",
-        5,
         [Part(r5, -0.5, "imag")],
-        ClosedForm.one(),
+        ClosedForm.rational(1, 1),
         "cosine pair product over base 5, fourth roots of unity",
-        1e-12,
     )
     add(
         "sigma_first_b5",
-        5,
         [Part(r5, 1.0, "real")],
         ClosedForm.rational(1, 5),
         "squared sine pair: the +-1 square-residue exponent product",
-        1e-12,
     )
     add(
         "sigma_second_b5",
-        5,
         [Part(r5, -1.0, "imag")],
-        ClosedForm.one(),
+        ClosedForm.rational(1, 1),
         "squared cosine pair: the shifted square-residue exponent product",
-        1e-12,
     )
 
     # z**digit_sum exponents
     zs3 = DigitStatPower(3, 0.5, DigitStat.digit_sum())
     add(
         "digit_sum_pow_b3",
-        3,
         [Part(ProductSpec(3, [Factor(1, 0.5), Factor(2, 0.75)], zs3))],
         ClosedForm.rational(1, 3),
         "digit-sum power product with multipliers 1 - z**k, base 3",
-        1e-12,
     )
     half_s2 = DigitStatPower(2, 0.5, DigitStat.digit_sum())
     add(
         "half_pow_digit_sum_b2",
-        2,
         [Part(ProductSpec(2, [Factor(1, 1.0)], half_s2))],
         ClosedForm.rational(1, 4),
         "squared digit-sum power product at z = 1/2, base 2",
-        1e-12,
     )
 
     # digit-sum roots of unity (base 2, q = 4) and the squared sigma forms
     ds2 = _digit_sum_root_spec(2, 4)
     add(
         "sin_digit_sum_b2",
-        2,
         [Part(ds2, 0.5, "real")],
         ClosedForm.power_of_base(-0.5),
         "sine product with digit-sum phases, base 2",
-        1e-12,
     )
     add(
         "cos_digit_sum_b2",
-        2,
         [Part(ds2, -0.5, "imag")],
-        ClosedForm.one(),
+        ClosedForm.rational(1, 1),
         "cosine product with digit-sum phases, base 2",
-        1e-12,
     )
     add(
         "sigma_digit_sum_first_b2",
-        2,
         [Part(ds2, 1.0, "real")],
         ClosedForm.rational(1, 2),
         "squared sine product: square-residue exponent of the digit sum",
-        1e-12,
     )
     add(
         "sigma_digit_sum_second_b2",
-        2,
         [Part(ds2, -1.0, "imag")],
-        ClosedForm.one(),
+        ClosedForm.rational(1, 1),
         "squared cosine product: shifted square-residue exponent of the digit sum",
-        1e-12,
     )
 
     # base-3 third roots of the digit sum: the 1/-2 pattern exponent
     ds3 = _digit_sum_root_spec(3, 3)
     add(
         "theta_digit_sum_b3",
-        3,
         [Part(ds3, 1.0, "real"), Part(ds3, 1.0 / sqrt3, "imag")],
         ClosedForm.rational(1, 3),
         "rearranged base-3 product with the 1,1,-2 exponent pattern",
-        1e-12,
     )
 
     # alternating parity of the digit sum: 1/sqrt(B)
@@ -354,11 +309,9 @@ def catalog() -> list[IdentityClaim]:
         spec = ProductSpec(b, [Factor(k, 1.0) for k in _odd_residues(b)], seq)
         add(
             f"sum_digits_b{b}",
-            b,
             [Part(spec)],
             ClosedForm.power_of_base(-0.5),
             f"odd-residue product with (-1)**digit_sum exponents, base {b}",
-            1e-12,
         )
 
     # digit-set counting exponents
@@ -366,90 +319,70 @@ def catalog() -> list[IdentityClaim]:
     s_pi3 = math.sin(math.pi / 3.0)
     add(
         "digit_set_sin_b4",
-        4,
         [Part(dj4, 1.0 / (2.0 * s_pi3), "real")],
         ClosedForm.power_of_base(-1.0 / (2.0 * s_pi3)),
         "digit-set {1,3} count product with third-root phases, base 4",
-        1e-12,
     )
     add(
         "digit_set_cos_b4",
-        4,
         [Part(dj4, -1.0 / (2.0 * s_pi3), "imag")],
-        ClosedForm.one(),
+        ClosedForm.rational(1, 1),
         "digit-set {1,3} cosine partner, base 4",
-        1e-12,
     )
     parity_set = DigitStatPower(5, -1.0, DigitStat.count_set({1, 2}))
     add(
         "digit_set_parity_b5",
-        5,
         [Part(ProductSpec(5, [Factor(1, 1.0), Factor(2, 1.0)], parity_set))],
         ClosedForm.power_of_base(-0.5),
         "(-1)**(count of digits 1 and 2) product, base 5",
-        1e-12,
     )
 
     # single-digit counts in base 2 (k = 1 is the prototype again)
     add(
         "count_ones_b2",
-        2,
         [Part(wr_spec)],
         ClosedForm.power_of_base(-0.5),
         "single-digit count product at k = 1, base 2",
-        1e-12,
     )
     zeros2 = DigitStatPower(2, -1.0, DigitStat.count(0))
     add(
         "count_zeros_b2",
-        2,
         [Part(ProductSpec(2, [Factor(0, 1.0)], zeros2))],
         ClosedForm.power_of_base(-0.5),
         "single-digit count product at k = 0, base 2",
-        1e-12,
     )
 
     # single-digit count in base 3 with third-root phases: 1/-2 and 1,0,-1
     c31 = _count_root_spec(3, {1}, 3)
     add(
         "eta_count_b3",
-        3,
         [Part(c31, 2.0 / 3.0, "real")],
         ClosedForm.power_of_base(-2.0 / 3.0),
         "1,0,-1 exponent pattern of the digit-1 count, base 3",
-        1e-12,
     )
     add(
         "theta_count_b3",
-        3,
         [Part(c31, -2.0 / sqrt3, "imag")],
-        ClosedForm.one(),
+        ClosedForm.rational(1, 1),
         "squared cosine partner with the 1,1,-2 pattern, base 3",
-        1e-12,
     )
 
     # periodic (-1)**n exponents over odd bases; Gamma quotient cross-check
     alt3 = ProductSpec(3, [Factor(1, 1.0)], PeriodicPower(3, 2, 1))
     add(
         "alternating_b3",
-        3,
         [Part(alt3)],
-        ClosedForm.gamma_ref(
-            alternating_pair_quotient(3, 1), label="Gamma quotient for base 3, k = 1"
-        ),
+        ClosedForm.gamma_ref(alternating_pair_quotient(3, 1)),
         "alternating product (3n+1)/(3n+2), equal to 1/sqrt(3)",
-        1e-12,
     )
     alt5 = ProductSpec(
         5, [Factor(1, 1.0), Factor(3, 1.0)], PeriodicPower(5, 2, 1)
     )
     add(
         "alternating_b5",
-        5,
         [Part(alt5)],
         ClosedForm.power_of_base(-0.5),
         "alternating odd-residue product, base 5",
-        1e-12,
     )
 
     return claims
@@ -607,7 +540,7 @@ def verify_all(
 
 def q_product_spec() -> ProductSpec:
     """Q: the (2n)/(2n+1) product from n >= 1 with parity-of-ones exponents."""
-    return ProductSpec(2, [Factor(0, 1.0, start=1)], _tm())
+    return ProductSpec(2, [Factor(0, 1.0, start=1)], thue_morse_seq())
 
 
 def r_product_spec() -> ProductSpec:
@@ -617,7 +550,7 @@ def r_product_spec() -> ProductSpec:
     residues 0 (inverted) and 2 carry it.
     """
     return ProductSpec(
-        4, [Factor(0, -1.0, start=1), Factor(2, 1.0, start=1)], _tm()
+        4, [Factor(0, -1.0, start=1), Factor(2, 1.0, start=1)], thue_morse_seq()
     )
 
 

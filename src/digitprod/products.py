@@ -25,7 +25,7 @@ summation path, this truncated log-series; three evaluators read it:
   truncation and rounding error.  It refuses a sequence whose recursion is
   not certified for every n >= 1 (``RecursionProfile.certified``).
 * ``evaluate_direct``: plain truncation, with the final block's
-  contribution as an indicative error.
+  contribution as an indicative error.  It alone needs no digit recursion.
 * ``evaluate_abel``: the same truncated sum, bit for bit, with an error
   bound from summation by parts: the digit recursion bounds the partial sums
   F of the exponent sequence level by level, and with them the tail beyond
@@ -315,7 +315,10 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
     """Truncate each factor's log-series at n_terms and exponentiate.
 
     The error estimate is the magnitude of the final block's contribution;
-    for conditionally convergent exponents it is only indicative.
+    for conditionally convergent exponents it is only indicative.  It is the
+    one evaluator that needs no digit recursion: the grammar can state
+    ``base=2; exponent=periodic_pow(3,1); factors=1``, whose exponent has no
+    base-2 recursion, so ``evaluate_abel`` and ``evaluate_moments`` refuse it.
     """
     threads = resolve_threads(threads)
     if n_terms < 0:

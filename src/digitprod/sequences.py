@@ -27,7 +27,7 @@ from math import log
 
 import numpy as np
 
-from .digits import DigitStat, _stat_of, check_base, digit_stat_block
+from .digits import DigitStat, _check_stat, _stat_of, check_base, digit_stat_block
 from .errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
@@ -137,9 +137,6 @@ class StronglyMultiplicative:
         out.real, out.imag = re, im
         return out
 
-    def describe(self) -> str:
-        return f"table(base={self.base})"
-
 
 @dataclass(frozen=True)
 class DigitStatPower:
@@ -161,7 +158,7 @@ class DigitStatPower:
     def __init__(self, base: int, w, stat: DigitStat):
         object.__setattr__(self, "base", check_base(base))
         object.__setattr__(self, "w", complex(w))
-        stat.check_for_base(self.base)
+        _check_stat(stat, self.base)
         object.__setattr__(self, "stat", stat)
         object.__setattr__(self, "_powers", np.empty(0))
 
@@ -189,9 +186,6 @@ class DigitStatPower:
     def block(self, ns: np.ndarray) -> np.ndarray:
         stats = digit_stat_block(ns, self.stat, self.base)
         return self._powers_up_to(int(stats.max(initial=0)))[stats]
-
-    def describe(self) -> str:
-        return f"{self.w}^{self.stat.describe()}(base={self.base})"
 
 
 @dataclass(frozen=True)
@@ -228,9 +222,6 @@ class PeriodicPower:
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.q]
 
-    def describe(self) -> str:
-        return f"exp(2*pi*i*{self.p}*n/{self.q})(base={self.base})"
-
 
 @dataclass(frozen=True)
 class SignedResidue:
@@ -266,9 +257,6 @@ class SignedResidue:
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.period]
-
-    def describe(self) -> str:
-        return f"period{list(self.signs)}(base={self.base})"
 
 
 ExponentSeq = StronglyMultiplicative | DigitStatPower | PeriodicPower | SignedResidue
@@ -400,7 +388,6 @@ def recursion_profile(
     seq: ExponentSeq,
     limit: int | None = None,
     base: int | None = None,
-    seed_start: int | None = None,
 ) -> RecursionProfile:
     """Extract and verify the digit recursion profile of ``seq``.
 
@@ -429,16 +416,15 @@ def recursion_profile(
             f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
         )
 
-    lo = max(b, int(seed_start) if seed_start is not None else b)
     hi = min((limit - b + 1) // b, b + 64 * b)
     n0 = None
-    for cand in range(lo, hi + 1):
+    for cand in range(b, hi + 1):
         if abs(u[cand]) > CHECK_TOL:
             n0 = cand
             break
     if n0 is None:
         raise NoNonzeroSeed(
-            f"no nonzero value in seed window [{lo}, {hi}] "
+            f"no nonzero value in seed window [{b}, {hi}] "
             "(sequence may be 1, 0, 0, ... or the window too short)"
         )
 

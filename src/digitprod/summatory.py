@@ -17,6 +17,7 @@ from math import exp, log
 import numpy as np
 
 from .errors import ProfileMismatch, ValidationError
+from .products import _BLOCK
 from .sequences import ExponentSeq, RecursionProfile
 
 __all__ = [
@@ -25,8 +26,6 @@ __all__ = [
     "GrowthReport",
     "growth_check",
 ]
-
-_BLOCK = 1 << 19
 
 
 def partial_sum_direct(seq: ExponentSeq, n: int) -> complex:

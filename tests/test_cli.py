@@ -284,6 +284,27 @@ def test_cli_divergent_spec_exit_3(capsys):
     assert code == 3
 
 
+def test_naive_evaluates_a_spec_without_digit_recursion(capsys):
+    # omega**n with omega = exp(2*pi*i/3) has no base-2 digit recursion, so
+    # abel and moments refuse it and only the plain truncated sum serves it.
+    # Split n = 3m + r: the product is prod_r (Gamma((2r+2)/6) /
+    # Gamma((2r+1)/6))**(omega**r); the divergent parts cancel as sum omega**r = 0
+    spec = "base=2; exponent=periodic_pow(3,1); factors=1"
+    argv = ["eval", "--spec", spec, "--terms", "100000", "--method"]
+    for method in ("abel", "moments"):
+        assert main([*argv, method]) == 3
+    code, out = run(capsys, [*argv, "naive"])
+    assert code == 0
+    payload = json.loads(out)
+    omega = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
+    expected = sum(
+        omega**r * (math.lgamma((2 * r + 2) / 6) - math.lgamma((2 * r + 1) / 6))
+        for r in range(3)
+    )
+    # the truncation error is ~0.29/N
+    assert abs(complex(payload["log_re"], payload["log_im"]) - expected) <= 3e-6
+
+
 def test_cli_table_exceeding_unit_bound_exit_3(capsys):
     code, _ = run(
         capsys,

@@ -10,6 +10,7 @@ import pytest
 from digitprod import identities
 from digitprod.errors import ValidationError
 from digitprod.identities import (
+    CATALOG_TOL,
     catalog,
     claim_by_name,
     estimate_qr,
@@ -27,6 +28,49 @@ def test_catalog_size_and_names():
     names = [c.name for c in claims]
     assert len(set(names)) == len(names)
     assert "woods_robbins" in names
+
+
+# (name, base, rhs value) of every claim, in catalog order
+CATALOG = [
+    ("woods_robbins", 2, 0.7071067811865476),
+    ("woods_robbins_squared", 2, 0.5),
+    ("strong_mult_gauss_b3", 3, 0.3333333333333333),
+    ("zero_count_scaled_b2", 2, 0.5),
+    ("zero_count_log_b2", 2, 0.25),
+    ("roots_unity_sin_b5", 5, 0.447213595499958),
+    ("roots_unity_cos_b5", 5, 1.0),
+    ("sigma_first_b5", 5, 0.2),
+    ("sigma_second_b5", 5, 1.0),
+    ("digit_sum_pow_b3", 3, 0.3333333333333333),
+    ("half_pow_digit_sum_b2", 2, 0.25),
+    ("sin_digit_sum_b2", 2, 0.7071067811865476),
+    ("cos_digit_sum_b2", 2, 1.0),
+    ("sigma_digit_sum_first_b2", 2, 0.5),
+    ("sigma_digit_sum_second_b2", 2, 1.0),
+    ("theta_digit_sum_b3", 3, 0.3333333333333333),
+    ("sum_digits_b2", 2, 0.7071067811865476),
+    ("sum_digits_b3", 3, 0.5773502691896257),
+    ("sum_digits_b6", 6, 0.408248290463863),
+    ("digit_set_sin_b4", 4, 0.4491594092243593),
+    ("digit_set_cos_b4", 4, 1.0),
+    ("digit_set_parity_b5", 5, 0.447213595499958),
+    ("count_ones_b2", 2, 0.7071067811865476),
+    ("count_zeros_b2", 2, 0.7071067811865476),
+    ("eta_count_b3", 3, 0.4807498567691361),
+    ("theta_count_b3", 3, 1.0),
+    ("alternating_b3", 3, 0.5773502691896263),
+    ("alternating_b5", 5, 0.447213595499958),
+]
+
+
+def test_catalog_claims_are_pinned():
+    claims = catalog()
+    assert [c.name for c in claims] == [name for name, _, _ in CATALOG]
+    for claim, (name, base, value) in zip(claims, CATALOG):
+        # the claim's base is derived from its parts, so they must share it
+        assert {part.spec.base for part in claim.parts} == {base}, name
+        assert claim.base == base and claim.tol == CATALOG_TOL == 1e-12, name
+        assert claim.rhs.value(base) == pytest.approx(value, rel=1e-15, abs=0), name
 
 
 def test_woods_robbins_rhs_value():
