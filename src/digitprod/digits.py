@@ -8,11 +8,14 @@ Every statistic is additive over digit levels: with P = B**j,
 stat(h*P + r) = stat(h) + stat of r padded to j digits, for h >= 1.  The
 array form ``digit_stat_block`` uses this to build the stats of a dense range
 from two cached per-level tables of P entries each, instead of one pass over
-the array per digit.
+the array per digit.  The scalar form ``digit_stat`` counts one n of any
+size through a counter built once per (statistic, base) pair from the same
+tables (``_counter``), which ``DigitStatPower`` binds once per sequence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -102,56 +105,17 @@ def digit_stat(n: int, stat: DigitStat, base: int) -> int:
     """Evaluate a digit statistic at a single n >= 0, of any size.
 
     Checks the base, the statistic against it (_check_stat) and the sign of
-    n, then counts a digit level at a time from the same cached tables as
-    digit_stat_block (_stat_of), so both give the same int.  All statistics
-    are 0 at n = 0.  Unlike digit_stat_block, n is not limited to int64.
-    The first call for a (statistic, base <= 4096) pair builds its tables.
+    n, then counts through the (statistic, base) pair's cached counter
+    (_counter), the one scalar counting path, which DigitStatPower binds
+    once per sequence.  All statistics are 0 at n = 0.  Unlike
+    digit_stat_block, n is not limited to int64.
     """
     base = check_base(base)
     _check_stat(stat, base)
     n = int(n)
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
-    return _stat_of(n, stat, base)
-
-
-def _stat_of(n: int, stat: DigitStat, base: int) -> int:
-    """The statistic of the Python int n >= 0, a digit level at a time.
-
-    Bases up to 4096 read digit_stat_block's level tables as lists of Python
-    ints (_level_lists): with P = B**j, each divmod(n, P) adds padded[r] and
-    the last high part adds natural[n], so n < 2**53 takes ~5 steps in base
-    2.  Larger bases, whose one-digit level would not fit a table, take one
-    divmod per digit.  Nothing is checked but the statistic's kind: callers
-    have validated the base, the statistic for that base and n >= 0
-    (digit_stat on every call, DigitStatPower once in its constructor).
-    """
-    if base <= _TABLE_LIMIT:
-        p, natural, padded = _level_lists(stat, base)
-        out = 0
-        while n >= p:
-            n, r = divmod(n, p)
-            out += padded[r]
-        return out + natural[n]
-    kind = stat.kind
-    out = 0
-    if kind == "count":
-        digits = stat.digits
-        while n > 0:
-            n, d = divmod(n, base)
-            if d in digits:
-                out += 1
-    elif kind == "digit_sum":
-        while n > 0:
-            n, d = divmod(n, base)
-            out += d
-    elif kind == "length":
-        while n > 0:
-            n //= base
-            out += 1
-    else:
-        raise ValidationError(f"unknown digit statistic {stat.kind!r}")
-    return out
+    return _counter(stat, base)(n)
 
 
 def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
@@ -189,10 +153,10 @@ def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
 
 
 _TABLE_LIMIT = 4096
-# (statistic, base) pairs whose level tables stay cached.  A pair's tables,
-# as arrays and as lists, take up to ~95 KB, so a caller cycling through many
-# statistics (one count per digit of base 4096, say) keeps ~24 MB of them,
-# not ~390 MB.
+# (statistic, base) pairs whose level tables and counters stay cached.  A
+# pair's tables, as arrays and as the counter's lists, take up to ~95 KB, so a
+# caller cycling through many statistics (one count per digit of base 4096,
+# say) keeps ~24 MB of them, not ~390 MB.
 _TABLE_CACHE = 256
 
 
@@ -233,14 +197,47 @@ def _level_tables(stat: DigitStat, base: int) -> tuple[int, np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _level_lists(stat: DigitStat, base: int) -> tuple[int, list[int], list[int]]:
-    """_level_tables as lists of Python ints, for the scalar path (_stat_of).
+def _counter(stat: DigitStat, base: int) -> Callable[[int], int]:
+    """The function n -> stat(n) for Python ints n >= 0, built once per pair.
 
-    Indexing a list is several times faster than indexing a numpy array, and
-    it yields an int, not an np.int64.
+    Bases up to 4096 close over _level_tables as lists of Python ints, which
+    index several times faster than arrays and yield ints: with P = B**j,
+    each divmod(n, P) adds padded[r] and the last high part adds natural[n],
+    so n < 2**53 takes ~5 steps in base 2.  Larger bases, whose one-digit
+    level would not fit a table, take one divmod per digit.  The counter
+    checks nothing: callers have validated the base, the statistic for that
+    base and n >= 0 (digit_stat on every call, DigitStatPower once in its
+    constructor, where it also binds the counter so that value() skips this
+    cache).  An unknown kind raises here, when the counter is built.
     """
-    p, natural, padded = _level_tables(stat, base)
-    return p, natural.tolist(), padded.tolist()
+    if base <= _TABLE_LIMIT:
+        p, natural, padded = _level_tables(stat, base)
+        natural, padded = natural.tolist(), padded.tolist()
+
+        def count_levels(n: int) -> int:
+            out = 0
+            while n >= p:
+                n, r = divmod(n, p)
+                out += padded[r]
+            return out + natural[n]
+
+        return count_levels
+    weight = {
+        "count": stat.digits.__contains__,
+        "digit_sum": lambda d: d,
+        "length": lambda d: 1,
+    }.get(stat.kind)
+    if weight is None:
+        raise ValidationError(f"unknown digit statistic {stat.kind!r}")
+
+    def count_digits(n: int) -> int:
+        out = 0
+        while n > 0:
+            n, d = divmod(n, base)
+            out += weight(d)
+        return out
+
+    return count_digits
 
 
 def _range_stats(s: int, e: int, stat: DigitStat, base: int) -> np.ndarray:

@@ -11,6 +11,10 @@ numbers and in vectorized blocks for the product and summatory machinery:
   as exp(2*pi*i*p*(n mod q)/q) so that periodicity is exact.
 * ``SignedResidue``: u(n) = signs[n mod period], a plain periodic table.
 
+``value(n)`` takes one Python int n >= 0 of any size and raises
+ValidationError for n < 0.  ``block(ns)`` takes an int64 array and does not
+check its sign: every caller passes a range from 0.
+
 ``recursion_profile`` extracts the data (v(0..B-1), n0) of the weak digit
 recursion u(B*n + k) = u(n) * v(k) for n >= 1, verifies it on a range, and
 derives the partial sums of v and the growth exponent used by the tail
@@ -27,7 +31,7 @@ from math import log
 
 import numpy as np
 
-from .digits import DigitStat, _check_stat, _stat_of, check_base, digit_stat_block
+from .digits import DigitStat, _check_stat, _counter, check_base, digit_stat_block
 from .errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
@@ -50,10 +54,22 @@ __all__ = [
 ]
 
 CHECK_TOL = 1e-12
+# The longest power table a DigitStatPower keeps: 2**15 entries (512 KB
+# complex) cover every statistic of an int64 n in bases up to 4096, whose
+# digit sum is at most 6 * 4094 (base 4095).  A longer table is built for
+# the call that needs it and dropped.
+_POWER_TABLE_MAX = 2**15
 
 
 def _as_complex_tuple(values) -> tuple[complex, ...]:
     return tuple(complex(v) for v in values)
+
+
+def _nonnegative(n) -> int:
+    n = int(n)
+    if n < 0:
+        raise ValidationError(f"n must be nonnegative, got {n}")
+    return n
 
 
 def _int_power_table(w: complex, m_max: int, real: bool) -> np.ndarray:
@@ -108,7 +124,7 @@ class StronglyMultiplicative:
 
     def value(self, n: int) -> complex:
         re, im = 1.0, 0.0
-        n = int(n)
+        n = _nonnegative(n)
         while n > 0:
             n, d = divmod(n, self.base)
             if d:
@@ -142,13 +158,17 @@ class StronglyMultiplicative:
 class DigitStatPower:
     """u(n) = w ** stat(n) for a digit statistic in the sequence's base.
 
+    The constructor checks the statistic against the base and binds its
+    counter (digits._counter), so value() counts with no cache lookup.
     value() and block() index one cached table of the powers w**0 .. w**m,
     built by iterated multiplication (_int_power_table), so the two agree bit
     for bit by construction.  A statistic beyond the table builds a new table
-    at least twice as long and rebinds it; a table is never extended in
-    place, so block() calls on other threads only ever see a whole one.  Each
-    call indexes the table it read or built, so no lock is needed: two
-    threads that rebuild at once cost a rebuild, not a wrong value.
+    at least twice as long, up to _POWER_TABLE_MAX entries, and rebinds it; a
+    statistic beyond that builds a table for its call alone, which gives the
+    same bits since every table multiplies up from w**0.  A table is never
+    extended in place, so block() calls on other threads only ever see a
+    whole one.  Each call indexes the table it read or built, so no lock is
+    needed: two threads that rebuild at once cost a rebuild, not a wrong value.
     """
 
     base: int
@@ -160,6 +180,7 @@ class DigitStatPower:
         object.__setattr__(self, "w", complex(w))
         _check_stat(stat, self.base)
         object.__setattr__(self, "stat", stat)
+        object.__setattr__(self, "_count", _counter(stat, self.base))
         object.__setattr__(self, "_powers", np.empty(0))
 
     @cached_property
@@ -170,17 +191,16 @@ class DigitStatPower:
         """The power table w**0 .. w**m for some m >= m_max."""
         table = self._powers
         if m_max >= len(table):
-            table = _int_power_table(self.w, max(m_max, 2 * len(table)), self.is_real)
+            if m_max >= _POWER_TABLE_MAX:
+                return _int_power_table(self.w, m_max, self.is_real)
+            m = min(max(m_max, 2 * len(table)), _POWER_TABLE_MAX - 1)
+            table = _int_power_table(self.w, m, self.is_real)
             table.flags.writeable = False  # shared by every caller
             object.__setattr__(self, "_powers", table)
         return table
 
     def value(self, n: int) -> complex:
-        # the constructor checked the base and the statistic
-        n = int(n)
-        if n < 0:
-            raise ValidationError(f"n must be nonnegative, got {n}")
-        m = _stat_of(n, self.stat, self.base)
+        m = self._count(_nonnegative(n))
         return complex(self._powers_up_to(m)[m])
 
     def block(self, ns: np.ndarray) -> np.ndarray:
@@ -217,7 +237,7 @@ class PeriodicPower:
         return tab
 
     def value(self, n: int) -> complex:
-        return complex(self._table[int(n) % self.q])
+        return complex(self._table[_nonnegative(n) % self.q])
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.q]
@@ -253,7 +273,7 @@ class SignedResidue:
         )
 
     def value(self, n: int) -> complex:
-        return self.signs[int(n) % self.period]
+        return self.signs[_nonnegative(n) % self.period]
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.period]

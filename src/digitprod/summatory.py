@@ -85,7 +85,7 @@ class GrowthReport:
     c_est: float
     passed: bool
     ratios: tuple[float, ...]
-    c_log_est: float | None  # max |F(N)| / log N, only when |sum v| <= 1
+    c_log_est: float | None  # max |F(N)| / log N over N > 1, only when |sum v| <= 1
 
     def __bool__(self) -> bool:
         return self.passed
@@ -112,7 +112,8 @@ def growth_check(
     ratios = tuple(exp(log(f) - alpha * log(p)) if f else 0.0 for f, p in zip(fs, pts))
     c_log = None
     if abs(profile.v_total) <= 1.0:
-        c_log = max(f / log(p) for f, p in zip(fs, pts) if p > 1)
+        # None also when no checkpoint exceeds 1, where log N is not positive
+        c_log = max((f / log(p) for f, p in zip(fs, pts) if p > 1), default=None)
     q1 = max(1, len(pts) // 4)
     early = max(ratios[:q1])
     late = max(ratios[q1:]) if len(ratios) > q1 else early

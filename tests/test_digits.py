@@ -11,7 +11,7 @@ from digitprod.digits import (
     from_digits,
     thue_morse,
 )
-from digitprod.digits import _TABLE_CACHE, _level_lists, _level_tables, _per_digit_stats
+from digitprod.digits import _TABLE_CACHE, _counter, _level_tables, _per_digit_stats
 from digitprod.errors import ValidationError
 from digitprod.sequences import DigitStatPower, thue_morse_seq
 
@@ -233,6 +233,58 @@ def test_scalar_stat_beyond_int64(b):
         digit_stat(12, DigitStat("bogus"), b)
 
 
+def _bits(values):
+    # complex128 bit patterns, so that 0.0 and -0.0 differ
+    return np.asarray(values, dtype=np.complex128).view(np.int64)
+
+
+@pytest.mark.parametrize("b", [2, 3, 7, 10, 4096, 4097])
+def test_value_matches_block_bit_for_bit(b):
+    # bases 4096 and 4097 sit on the two sides of the level-table limit
+    p = _level(b) if b <= 4096 else b
+    ns = [p - 1, p, p + 1, 2**53 - 2, 2**53 - 1]
+    for stat in _every_stat(b):
+        for w in (0.9999, 0.6 - 0.7j):
+            seq = DigitStatPower(b, w, stat)
+            block = seq.block(np.array(ns, dtype=np.int64))
+            values = [seq.value(n) for n in ns]
+            assert np.array_equal(_bits(values), _bits(block)), (b, stat, w)
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 4096, 4097])
+def test_value_beyond_int64_is_w_to_the_statistic(b):
+    # every power of these w is exact, so w**m equals the iterated product
+    ns = [2**63, 2**63 + 1, 2**64 + 2**70, 3**90 + 7, 2**300 - 1]
+    for stat in _every_stat(b):
+        for w in (-1.0, 0.5, 1j):
+            seq = DigitStatPower(b, w, stat)
+            for n in ns:
+                m = digit_stat(n, stat, b)
+                want = 1j ** (m % 4) if w == 1j else w**m
+                assert seq.value(n) == want, (b, stat, w, n)
+
+
+def test_value_skips_the_counter_cache():
+    seq = DigitStatPower(3, 1j, DigitStat.digit_sum())
+    before = _counter.cache_info()
+    for n in range(10**4):
+        seq.value(n * 2**40 + n)
+    after = _counter.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_power_table_keeps_at_most_2_15_entries():
+    # digit sums in base 40000 reach 3 * 39999 below 2**63: such a statistic
+    # gets a table for its call alone, and the kept one still serves the rest
+    seq = DigitStatPower(40000, 0.6 + 0.8j, DigitStat.digit_sum())
+    n = 40000**3 - 1
+    value = seq.value(n)
+    assert len(seq._powers) <= 2**15
+    block = seq.block(np.array([n, 12345], dtype=np.int64))
+    assert len(seq._powers) <= 2**15
+    assert np.array_equal(_bits([value, seq.value(12345)]), _bits(block))
+
+
 def test_level_table_caches_are_bounded():
     # one statistic per digit of base 4096 must not keep a table pair each
     n = 10**60 + 12345
@@ -240,7 +292,7 @@ def test_level_table_caches_are_bounded():
     for j in range(_TABLE_CACHE + 40):
         assert digit_stat(n, DigitStat.count(j), 4096) == ds.count(j)
     assert _level_tables.cache_info().currsize <= _TABLE_CACHE
-    assert _level_lists.cache_info().currsize <= _TABLE_CACHE
+    assert _counter.cache_info().currsize <= _TABLE_CACHE
 
 
 def test_validation():

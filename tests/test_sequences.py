@@ -110,6 +110,24 @@ def test_power_table_outgrows_its_first_statistic(w):
     assert (seq.block(ns) == np.array([seq.value(int(n)) for n in ns])).all()
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        StronglyMultiplicative(3, [1j, -1]),
+        DigitStatPower(2, -1, DigitStat.count(1)),
+        PeriodicPower(2, 3, 1),
+        SignedResidue(2, [1, -1]),
+    ],
+    ids=lambda seq: type(seq).__name__,
+)
+def test_value_rejects_negative_n(seq):
+    # n mod q would wrap a negative n into the period, and a digit loop would
+    # read no digits of it: each family must raise instead
+    for n in (-1, -4, -(2**70)):
+        with pytest.raises(ValidationError):
+            seq.value(n)
+
+
 def test_power_table_shared_by_threads():
     # block() runs on map_ordered's pool threads, so threads grow and read one
     # power table at once: none may see a table too short or half built

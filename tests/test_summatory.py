@@ -138,6 +138,15 @@ def test_growth_beyond_float_range():
     assert all(abs(r - 1.0) <= 1e-12 for r in rep.ratios)
 
 
+@pytest.mark.parametrize("checkpoints", [[1], [0, 1]])
+def test_growth_without_a_checkpoint_above_one(checkpoints):
+    # |F(N)| / log N needs some N > 1; without one there is no estimate
+    tm = thue_morse_seq()
+    rep = growth_check(recursion_profile(tm), tm, checkpoints)
+    assert rep.c_log_est is None
+    assert rep.ratios[-1] == 1.0  # F(1) = u(0) = 1
+
+
 def test_growth_checkpoint_validation():
     tm = thue_morse_seq()
     prof = recursion_profile(tm, 4096)
