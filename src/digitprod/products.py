@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, fsum, log1p
 from os import cpu_count
@@ -213,6 +212,10 @@ def map_ordered(fn, items, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: concurrent.futures loads logging, queue and traceback,
+    # which a process that never fans out does not need
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -54,10 +54,10 @@ __all__ = [
 ]
 
 CHECK_TOL = 1e-12
-# The longest power table a DigitStatPower keeps: 2**15 entries (512 KB
-# complex) cover every statistic of an int64 n in bases up to 4096, whose
-# digit sum is at most 6 * 4094 (base 4095).  A longer table is built for
-# the call that needs it and dropped.
+# The longest power table a DigitStatPower keeps: 2**15 entries (512 KB of
+# complex128 array, ~1.3 MB of Python complexes) cover every statistic of an
+# int64 n in bases up to 4096, whose digit sum is at most 6 * 4094 (base
+# 4095).  A longer table is built for the call that needs it and dropped.
 _POWER_TABLE_MAX = 2**15
 
 
@@ -72,25 +72,27 @@ def _nonnegative(n) -> int:
     return n
 
 
-def _int_power_table(w: complex, m_max: int, real: bool) -> np.ndarray:
+def _int_power_table(
+    w: complex, m_max: int, real: bool
+) -> tuple[tuple[complex, ...], np.ndarray]:
     """Powers w**0 .. w**m_max by iterated multiplication (no branch cuts).
 
-    Powers that overflow become inf or nan without a warning, as Python's
-    float and complex products do; callers check finiteness where it matters.
+    Returns them twice: as a tuple of Python complexes for scalar lookups and
+    as a read-only float64 (real) or complex128 array for fancy indexing,
+    both holding the same products.  Python's float and complex products
+    round as numpy's do, so the tables match a numpy scalar loop bit for bit.
+    Powers that overflow become inf or nan without a warning; callers check
+    finiteness where it matters.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if real:
-            out = np.empty(m_max + 1, dtype=np.float64)
-            out[0] = 1.0
-            wr = w.real
-            for m in range(1, m_max + 1):
-                out[m] = out[m - 1] * wr
-        else:
-            out = np.empty(m_max + 1, dtype=np.complex128)
-            out[0] = 1.0
-            for m in range(1, m_max + 1):
-                out[m] = out[m - 1] * w
-    return out
+    x = w.real if real else w
+    p = 1.0 if real else complex(1.0)
+    powers = [p]
+    for _ in range(m_max):
+        p = p * x
+        powers.append(p)
+    array = np.array(powers, dtype=np.float64 if real else np.complex128)
+    array.flags.writeable = False  # shared by every caller
+    return (tuple(map(complex, powers)) if real else tuple(powers)), array
 
 
 @dataclass(frozen=True)
@@ -160,15 +162,17 @@ class DigitStatPower:
 
     The constructor checks the statistic against the base and binds its
     counter (digits._counter), so value() counts with no cache lookup.
-    value() and block() index one cached table of the powers w**0 .. w**m,
-    built by iterated multiplication (_int_power_table), so the two agree bit
-    for bit by construction.  A statistic beyond the table builds a new table
-    at least twice as long, up to _POWER_TABLE_MAX entries, and rebinds it; a
-    statistic beyond that builds a table for its call alone, which gives the
-    same bits since every table multiplies up from w**0.  A table is never
-    extended in place, so block() calls on other threads only ever see a
-    whole one.  Each call indexes the table it read or built, so no lock is
-    needed: two threads that rebuild at once cost a rebuild, not a wrong value.
+    The powers w**0 .. w**m are kept as one cached ``(values, array)`` pair
+    built by _int_power_table from one list of products: value() indexes
+    ``values``, a tuple of Python complexes, and block() indexes ``array``,
+    so the two agree bit for bit by construction.  A statistic beyond the
+    pair builds a new one at least twice as long, up to _POWER_TABLE_MAX
+    entries, and rebinds it as one attribute; a statistic beyond that builds
+    a pair for its call alone, which gives the same bits since every table
+    multiplies up from w**0.  A pair is never extended in place, so calls on
+    other threads only ever see a whole one.  Each call indexes the pair it
+    read or built, so no lock is needed: two threads that rebuild at once
+    cost a rebuild, not a wrong value.
     """
 
     base: int
@@ -181,31 +185,30 @@ class DigitStatPower:
         _check_stat(stat, self.base)
         object.__setattr__(self, "stat", stat)
         object.__setattr__(self, "_count", _counter(stat, self.base))
-        object.__setattr__(self, "_powers", np.empty(0))
+        object.__setattr__(self, "_powers", ((), np.empty(0)))
 
     @cached_property
     def is_real(self) -> bool:
         return self.w.imag == 0.0
 
-    def _powers_up_to(self, m_max: int) -> np.ndarray:
-        """The power table w**0 .. w**m for some m >= m_max."""
-        table = self._powers
-        if m_max >= len(table):
+    def _powers_up_to(self, m_max: int) -> tuple[tuple[complex, ...], np.ndarray]:
+        """The pair (values, array) of powers w**0 .. w**m for some m >= m_max."""
+        powers = self._powers
+        if m_max >= len(powers[0]):
             if m_max >= _POWER_TABLE_MAX:
                 return _int_power_table(self.w, m_max, self.is_real)
-            m = min(max(m_max, 2 * len(table)), _POWER_TABLE_MAX - 1)
-            table = _int_power_table(self.w, m, self.is_real)
-            table.flags.writeable = False  # shared by every caller
-            object.__setattr__(self, "_powers", table)
-        return table
+            m = min(max(m_max, 2 * len(powers[0])), _POWER_TABLE_MAX - 1)
+            powers = _int_power_table(self.w, m, self.is_real)
+            object.__setattr__(self, "_powers", powers)
+        return powers
 
     def value(self, n: int) -> complex:
         m = self._count(_nonnegative(n))
-        return complex(self._powers_up_to(m)[m])
+        return self._powers_up_to(m)[0][m]
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         stats = digit_stat_block(ns, self.stat, self.base)
-        return self._powers_up_to(int(stats.max(initial=0)))[stats]
+        return self._powers_up_to(int(stats.max(initial=0)))[1][stats]
 
 
 @dataclass(frozen=True)
@@ -236,8 +239,12 @@ class PeriodicPower:
             return np.where(rs % 2 == 0, 1.0, -1.0)
         return tab
 
+    @cached_property
+    def _values(self) -> tuple[complex, ...]:
+        return tuple(map(complex, self._table))
+
     def value(self, n: int) -> complex:
-        return complex(self._table[_nonnegative(n) % self.q])
+        return self._values[_nonnegative(n) % self.q]
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.q]

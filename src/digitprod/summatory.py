@@ -101,11 +101,14 @@ def growth_check(
 
     The bound is asymptotic, so the envelope is judged after the first
     quartile of checkpoints: no later ratio may exceed the early envelope by
-    more than ``slack``.
+    more than ``slack``.  Checkpoints start at 1: F(0) = 0 would make the
+    envelope 0.
     """
     pts = [int(p) for p in checkpoints]
     if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValidationError("checkpoints must be nonempty and increasing")
+    if pts[0] < 1:
+        raise ValidationError(f"checkpoints must be >= 1, got {pts[0]}")
     alpha = profile.alpha
     fs = [abs(partial_sum_recursive(profile, seq, p)) for p in pts]
     # in logs, since p**alpha needs p as a float and overflows past ~1.8e308

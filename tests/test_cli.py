@@ -499,7 +499,7 @@ def test_cli_readme_examples_run(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point():
+def _run_child(*args):
     import os
     import subprocess
     import sys
@@ -510,14 +510,29 @@ def test_module_entry_point():
     # the child imports the same package, installed or not
     src = str(Path(digitprod.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "digitprod", "digits", "--n", "13", "--base", "2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _run_child("-m", "digitprod", "digits", "--n", "13", "--base", "2")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1101"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures (with logging, queue, traceback) loads only when an
+    # evaluation fans out to threads
+    proc = _run_child(
+        "-c",
+        "import sys, digitprod.cli; print('concurrent.futures' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_spec_file(tmp_path, capsys):

@@ -279,10 +279,17 @@ def test_power_table_keeps_at_most_2_15_entries():
     seq = DigitStatPower(40000, 0.6 + 0.8j, DigitStat.digit_sum())
     n = 40000**3 - 1
     value = seq.value(n)
-    assert len(seq._powers) <= 2**15
     block = seq.block(np.array([n, 12345], dtype=np.int64))
-    assert len(seq._powers) <= 2**15
     assert np.array_equal(_bits([value, seq.value(12345)]), _bits(block))
+    # smaller statistics grow the kept (values, array) pair up to the cap
+    for m in (12345, 30000, 32000):
+        seq.value(m)
+        values, array = seq._powers
+        assert m < len(values) == len(array) <= 2**15
+    for m in (39999, n):
+        seq.value(m)
+        values, array = seq._powers
+        assert len(values) == len(array) == 2**15
 
 
 def test_level_table_caches_are_bounded():

@@ -20,6 +20,7 @@ from digitprod.sequences import (
     PeriodicPower,
     SignedResidue,
     StronglyMultiplicative,
+    _int_power_table,
     recursion_profile,
     thue_morse_seq,
     verify_strong_mult,
@@ -108,6 +109,53 @@ def test_power_table_outgrows_its_first_statistic(w):
         assert seq.value(n) == explicit_power(sum(digits_of(n, 1000))), n
     ns = np.arange(10**6 - 2000, 10**6 + 2000, dtype=np.int64)
     assert (seq.block(ns) == np.array([seq.value(int(n)) for n in ns])).all()
+
+
+def _numpy_power_loop(w, m_max, real):
+    # the table as numpy scalar products, the construction the Python-number
+    # table replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.empty(m_max + 1, dtype=np.float64 if real else np.complex128)
+        out[0] = 1.0
+        x = w.real if real else w
+        for m in range(1, m_max + 1):
+            out[m] = out[m - 1] * x
+    return out
+
+
+@pytest.mark.parametrize(
+    "w",
+    [-1, 0.5, -1.7, 3.0, 0.6 - 0.7j, 1j, 2.5 + 1.5j, -2.9 - 0.3j, 0.99 + 0.14j,
+     -1e200 + 3e-200j, 1e300 + 1e300j, complex(float("inf"), 0.0), complex(-0.0, 5.0),
+     0j],
+)
+def test_power_table_matches_numpy_scalar_loop(w):
+    # bit patterns, so that overflowed powers (inf, nan) and signed zeros count
+    w = complex(w)
+    for real in ([True, False] if w.imag == 0.0 else [False]):
+        values, array = _int_power_table(w, 600, real)
+        want = _numpy_power_loop(w, 600, real)
+        assert array.dtype == want.dtype and not array.flags.writeable
+        assert np.array_equal(array.view(np.int64), want.view(np.int64)), real
+        assert all(type(v) is complex for v in values)
+        assert np.array_equal(
+            np.array(values).view(np.int64),
+            want.astype(np.complex128).view(np.int64),
+        ), real
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_periodic_value_matches_its_table(q):
+    # value() reads a cached tuple; it must give the bits that converting
+    # the block table's entry gives
+    for p in range(1, q):
+        seq = PeriodicPower(3, q, p)
+        for n in range(2 * q):
+            got, want = seq.value(n), complex(seq._table[n % q])
+            assert type(got) is complex
+            assert np.array([got]).view(np.int64).tolist() == (
+                np.array([want]).view(np.int64).tolist()
+            ), (q, p, n)
 
 
 @pytest.mark.parametrize(

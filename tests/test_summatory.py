@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from digitprod import summatory
 from digitprod.digits import DigitStat
 from digitprod.errors import ProfileMismatch, ValidationError
 from digitprod.sequences import (
@@ -138,13 +139,27 @@ def test_growth_beyond_float_range():
     assert all(abs(r - 1.0) <= 1e-12 for r in rep.ratios)
 
 
-@pytest.mark.parametrize("checkpoints", [[1], [0, 1]])
+@pytest.mark.parametrize("checkpoints", [[1]])
 def test_growth_without_a_checkpoint_above_one(checkpoints):
     # |F(N)| / log N needs some N > 1; without one there is no estimate
     tm = thue_morse_seq()
     rep = growth_check(recursion_profile(tm), tm, checkpoints)
     assert rep.c_log_est is None
     assert rep.ratios[-1] == 1.0  # F(1) = u(0) = 1
+
+
+def test_growth_rejects_checkpoints_below_one(monkeypatch):
+    # F(0) = 0 would make the early envelope 0 and fail any bounded sequence
+    tm = thue_morse_seq()
+    prof = recursion_profile(tm)
+    assert growth_check(prof, tm, [1, 2]).passed
+    calls = []
+    monkeypatch.setattr(summatory, "partial_sum_recursive",
+                        lambda *args: calls.append(args))
+    for checkpoints in ([0, 1], [-3, 5, 9]):
+        with pytest.raises(ValidationError):
+            growth_check(prof, tm, checkpoints)
+    assert calls == []  # refused before any partial sum
 
 
 def test_growth_checkpoint_validation():
