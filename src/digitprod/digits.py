@@ -7,10 +7,12 @@ n = 0.  Digits are kept least-significant-first; rendering most-significant
 Every statistic is additive over digit levels: with P = B**j,
 stat(h*P + r) = stat(h) + stat of r padded to j digits, for h >= 1.  The
 array form ``digit_stat_block`` uses this to build the stats of a dense range
-from two cached per-level tables of P entries each, instead of one pass over
-the array per digit.  The scalar form ``digit_stat`` counts one n of any
-size through a counter built once per (statistic, base) pair from the same
-tables (``_counter``), which ``DigitStatPower`` binds once per sequence.
+from two per-level tables of P entries each, instead of one pass over the
+array per digit.  The scalar form ``digit_stat`` counts one n of any size
+through a counter built from the same tables, which ``DigitStatPower`` binds
+once per sequence.  Both read one cached record per (statistic, base) pair
+(``_stat_record``), which checks the pair once and holds its tables and
+counter.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,20 +105,34 @@ class DigitStat:
 
 
 def digit_stat(n: int, stat: DigitStat, base: int) -> int:
-    """Evaluate a digit statistic at a single n >= 0, of any size.
+    """Evaluate a digit statistic at a single n >= 0, of any size (not only int64).
 
-    Checks the base, the statistic against it (_check_stat) and the sign of
-    n, then counts through the (statistic, base) pair's cached counter
-    (_counter), the one scalar counting path, which DigitStatPower binds
-    once per sequence.  All statistics are 0 at n = 0.  Unlike
-    digit_stat_block, n is not limited to int64.
+    Counts through the counter of the pair's _stat_record, the one scalar
+    counting path, which DigitStatPower binds once per sequence.  All
+    statistics are 0 at n = 0.
     """
     base = check_base(base)
-    _check_stat(stat, base)
+    count = _stat_record(stat, base).count
     n = int(n)
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
-    return _counter(stat, base)(n)
+    return count(n)
+
+
+def _digit_weight(stat: DigitStat, base: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from an int64 array of base-B digits to what each adds to stat.
+
+    1 per digit in a count's set, the digit for the digit sum, 1 for the length.
+    """
+    if stat.kind == "count":
+        member = np.zeros(base, dtype=bool)
+        member[list(stat.digits)] = True
+        return member.__getitem__
+    if stat.kind == "digit_sum":
+        return lambda d: d
+    if stat.kind == "length":
+        return np.ones_like
+    raise ValidationError(f"unknown digit statistic {stat.kind!r}")
 
 
 def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
@@ -124,134 +141,104 @@ def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
     Serves sparse inputs, builds the level tables and is the reference the
     level-at-a-time path is tested against.
     """
+    weight = _digit_weight(stat, base)
     x = np.asarray(ns, dtype=np.int64).copy()
     out = np.zeros(x.shape, dtype=np.int64)
-    if stat.kind == "count":
-        member = np.zeros(base, dtype=bool)
-        for j in stat.digits:
-            member[j] = True
-        while True:
-            active = x > 0
-            if not active.any():
-                break
-            out += member[x % base] & active
-            x //= base
-    elif stat.kind == "digit_sum":
-        while (x > 0).any():
-            out += x % base
-            x //= base
-    elif stat.kind == "length":
-        while True:
-            active = x > 0
-            if not active.any():
-                break
-            out += active
-            x //= base
-    else:
-        raise ValidationError(f"unknown digit statistic {stat.kind!r}")
+    while True:
+        active = x > 0
+        if not active.any():
+            break
+        out += weight(x % base) * active
+        x //= base
     return out
 
 
 _TABLE_LIMIT = 4096
-# (statistic, base) pairs whose level tables and counters stay cached.  A
-# pair's tables, as arrays and as the counter's lists, take up to ~95 KB, so a
-# caller cycling through many statistics (one count per digit of base 4096,
-# say) keeps ~24 MB of them, not ~390 MB.
+# (statistic, base) pairs whose records stay cached.  A count's record takes
+# ~130 KB (tables as arrays and as the counter's lists), so one count per
+# digit of base 4096, say, keeps ~33 MB of them, not ~530 MB.
 _TABLE_CACHE = 256
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _check_stat(stat: DigitStat, base: int) -> None:
-    """stat.check_for_base(base), once per passing (statistic, base) pair.
+class _StatRecord(NamedTuple):
+    """A checked (statistic, base) pair: its level tables and scalar counter.
 
-    Walking a count set of 10**6 digits takes ~45 ms, which digit_stat and
-    digit_stat_block would otherwise pay on every call.  A failing pair
-    raises and is not cached, so it raises again on the next call.
+    With P = B**j the largest power of B <= 4096, natural[r] is stat(r) and
+    padded[r] the stat of r written with exactly j digits, i.e. as the low
+    digit level of some n >= P; both are read-only, since every caller
+    shares them.  Bases above 4096 have p = 0 and no tables.  count is the
+    function n -> stat(n) for Python ints n >= 0; it checks nothing.
+    """
+
+    p: int
+    natural: np.ndarray | None
+    padded: np.ndarray | None
+    count: Callable[[int], int]
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _stat_record(stat: DigitStat, base: int) -> _StatRecord:
+    """The _StatRecord of a pair, built once after stat.check_for_base(base).
+
+    A count set of 10**6 digits takes ~45 ms to check.  A failing pair, or an
+    unknown kind, raises and is not cached.  The counter of a base up to
+    4096 adds padded[r] per divmod(n, P) and natural[n] for the last high
+    part (~5 steps for n < 2**53 in base 2), from lists of Python ints,
+    which index several times faster than arrays.  Larger bases, whose
+    one-digit level would not fit a table, take one divmod per digit.
     """
     stat.check_for_base(base)
+    if base > _TABLE_LIMIT:
+        weight = {
+            "count": stat.digits.__contains__,
+            "digit_sum": lambda d: d,
+            "length": lambda d: 1,
+        }.get(stat.kind)
+        if weight is None:
+            raise ValidationError(f"unknown digit statistic {stat.kind!r}")
 
+        def count_digits(n: int) -> int:
+            out = 0
+            while n > 0:
+                n, d = divmod(n, base)
+                out += weight(d)
+            return out
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _level_tables(stat: DigitStat, base: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(P, natural, padded) for P = B**j, the largest power of B <= 4096.
+        return _StatRecord(0, None, None, count_digits)
 
-    natural[r] is stat(r); padded[r] is the stat of r written with exactly j
-    digits, i.e. as the low digit level of some n >= P.  Leading zeros count
-    only for `length` and for counts that include digit 0.  Both tables are
-    read-only, since every caller shares them.
-    """
-    p, j = base, 1
+    p = base
     while p * base <= _TABLE_LIMIT:
-        p, j = p * base, j + 1
+        p *= base
     r = np.arange(p, dtype=np.int64)
     natural = _per_digit_stats(r, stat, base)
-    if stat.kind == "length":
-        padded = np.full(p, j, dtype=np.int64)
-    elif stat.kind == "count" and 0 in stat.digits:
-        padded = natural + (j - _per_digit_stats(r, DigitStat.length(), base))
-    else:
-        padded = natural
+    # P + r is r written with j digits under a digit 1: stat(1) + padded[r]
+    padded = _per_digit_stats(p + r, stat, base) - natural[1]
     natural.flags.writeable = False
     padded.flags.writeable = False
-    return p, natural, padded
+    natural_list, padded_list = natural.tolist(), padded.tolist()
 
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _counter(stat: DigitStat, base: int) -> Callable[[int], int]:
-    """The function n -> stat(n) for Python ints n >= 0, built once per pair.
-
-    Bases up to 4096 close over _level_tables as lists of Python ints, which
-    index several times faster than arrays and yield ints: with P = B**j,
-    each divmod(n, P) adds padded[r] and the last high part adds natural[n],
-    so n < 2**53 takes ~5 steps in base 2.  Larger bases, whose one-digit
-    level would not fit a table, take one divmod per digit.  The counter
-    checks nothing: callers have validated the base, the statistic for that
-    base and n >= 0 (digit_stat on every call, DigitStatPower once in its
-    constructor, where it also binds the counter so that value() skips this
-    cache).  An unknown kind raises here, when the counter is built.
-    """
-    if base <= _TABLE_LIMIT:
-        p, natural, padded = _level_tables(stat, base)
-        natural, padded = natural.tolist(), padded.tolist()
-
-        def count_levels(n: int) -> int:
-            out = 0
-            while n >= p:
-                n, r = divmod(n, p)
-                out += padded[r]
-            return out + natural[n]
-
-        return count_levels
-    weight = {
-        "count": stat.digits.__contains__,
-        "digit_sum": lambda d: d,
-        "length": lambda d: 1,
-    }.get(stat.kind)
-    if weight is None:
-        raise ValidationError(f"unknown digit statistic {stat.kind!r}")
-
-    def count_digits(n: int) -> int:
+    def count_levels(n: int) -> int:
         out = 0
-        while n > 0:
-            n, d = divmod(n, base)
-            out += weight(d)
-        return out
+        while n >= p:
+            n, r = divmod(n, p)
+            out += padded_list[r]
+        return out + natural_list[n]
 
-    return count_digits
+    return _StatRecord(p, natural, padded, count_levels)
 
 
-def _range_stats(s: int, e: int, stat: DigitStat, base: int) -> np.ndarray:
+def _range_stats(s: int, e: int, record: _StatRecord) -> np.ndarray:
     """stat over [s, e), as an outer sum of the high digits and the low level.
 
     n = h*P + r has stat(n) = stat(h) + padded[r] for h >= 1, and natural[r]
     for h = 0.  The high stats recurse over about (e - s)/P values.  The
     result may be a view of a cached table when e <= P.
     """
-    p, natural, padded = _level_tables(stat, base)
+    p, natural, padded, _ = record
     if e <= p:
         return natural[s:e]
     hs, he = s // p, -(-e // p)
-    grid = _range_stats(hs, he, stat, base)[:, None] + padded[None, :]
+    grid = _range_stats(hs, he, record)[:, None] + padded[None, :]
     if hs == 0:
         grid[0] = natural
     return grid.ravel()[s - hs * p : e - hs * p]
@@ -268,12 +255,12 @@ def digit_stat_block(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
     is always a new array.
     """
     base = check_base(base)
-    _check_stat(stat, base)
+    record = _stat_record(stat, base)
     x = np.asarray(ns, dtype=np.int64)
-    if x.size and base <= _TABLE_LIMIT:
+    if x.size and record.p:
         lo, hi = int(x.min()), int(x.max())
         if lo >= 0 and hi - lo < 2 * x.size:
-            return _range_stats(lo, hi + 1, stat, base)[x - lo]
+            return _range_stats(lo, hi + 1, record)[x - lo]
     return _per_digit_stats(x, stat, base)
 
 

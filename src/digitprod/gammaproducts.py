@@ -172,15 +172,13 @@ class AlternatingSideReport:
         return self.passed
 
 
-def verify_alternating_products(
-    base: int, n_terms: int, tol: float = 1e-4
-) -> AlternatingSideReport:
+def verify_alternating_products(base: int, n_terms: int) -> AlternatingSideReport:
     """Truncate the alternating products over n >= 1 and compare to closed forms.
 
     Consecutive indices n = 2m-1, 2m are paired before truncation, which makes
-    each side absolutely convergent.  Also checks that the odd-residue closed
-    form is the n >= 0 alternating product 1/sqrt(B) with its n = 0 factor
-    removed.
+    each side absolutely convergent; each must match within a relative 1e-4.
+    Also checks that the odd-residue closed form is the n >= 0 alternating
+    product 1/sqrt(B) with its n = 0 factor removed.
     """
     b = int(base)
     if b % 2 == 0 or b < 3:
@@ -210,7 +208,7 @@ def verify_alternating_products(
         fsum(math.log(k / (k + 1.0)) for k in range(1, b, 2))
     )
     rewrite_dev = abs(closed.odd_k - (1.0 / sqrt(b)) / head)
-    passed = rel <= tol and rewrite_dev <= 1e-12
+    passed = rel <= 1e-4 and rewrite_dev <= 1e-12
     return AlternatingSideReport(
         base=b,
         terms=n_terms,

@@ -50,7 +50,8 @@ import numpy as np
 
 from .digits import check_base
 from .errors import DomainError, ValidationError
-from .sequences import ExponentSeq, RecursionProfile, recursion_deviation, recursion_profile
+from .sequences import (CHECK_TOL, ExponentSeq, RecursionProfile, recursion_deviation,
+                        recursion_profile)
 
 __all__ = [
     "Factor",
@@ -494,7 +495,7 @@ class TelescopeReport:
         return self.passed
 
 
-def telescoping_check(seq: ExponentSeq, n_limit: int, tol: float = 1e-12) -> TelescopeReport:
+def telescoping_check(seq: ExponentSeq, n_limit: int) -> TelescopeReport:
     """Exact finite telescoping: the B residue logs at each n merge into one.
 
     Checks, for n in [1, n_limit): sum_k log((Bn+k)/(Bn+k+1)) = log(n/(n+1)),
@@ -505,7 +506,7 @@ def telescoping_check(seq: ExponentSeq, n_limit: int, tol: float = 1e-12) -> Tel
     if n_limit < 1:
         raise ValidationError(f"n_limit must be >= 1, got {n_limit}")
     u_all = seq.block(np.arange(0, base * n_limit, dtype=np.int64))
-    if np.abs(u_all).max() > 1.0 + 1e-12:
+    if np.abs(u_all).max() > 1.0 + CHECK_TOL:
         raise ValidationError("|u(n)| <= 1 is required on [0, B*n_limit)")
 
     head = fsum(log_ratio_term(base, k, 0) for k in range(1, base))
@@ -530,9 +531,8 @@ def telescoping_check(seq: ExponentSeq, n_limit: int, tol: float = 1e-12) -> Tel
     weighted_rhs = _fsum_c(weighted_rhs_parts) - u0 * math.log(base)
     weighted_dev = abs(weighted_lhs - weighted_rhs)
 
-    passed = max_dev <= tol and head_dev <= tol and weighted_dev <= tol * max(
-        1.0, abs(weighted_rhs)
-    )
+    passed = max_dev <= CHECK_TOL and head_dev <= CHECK_TOL and (
+        weighted_dev <= CHECK_TOL * max(1.0, abs(weighted_rhs)))
     return TelescopeReport(passed, n_limit, max_dev, head_dev, weighted_dev)
 
 
@@ -551,7 +551,6 @@ def residue_split_check(
     seq: ExponentSeq,
     n_limit: int,
     base: int | None = None,
-    tol: float = 1e-12,
 ) -> SplitReport:
     """Finite form of the mod-B split of sum u(m) log(m/(m+1)).
 
@@ -586,5 +585,5 @@ def residue_split_check(
     sub_dev, _ = recursion_deviation(u_all, profile.v, 1)
 
     split_dev = abs(lhs - rhs)
-    passed = split_dev <= tol * max(1.0, abs(lhs)) and sub_dev <= tol
+    passed = split_dev <= CHECK_TOL * max(1.0, abs(lhs)) and sub_dev <= CHECK_TOL
     return SplitReport(passed, n_limit, split_dev, sub_dev)

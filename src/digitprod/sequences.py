@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import log
 
 import numpy as np
 
-from .digits import DigitStat, _check_stat, _counter, check_base, digit_stat_block
+from .digits import DigitStat, _stat_record, check_base, digit_stat_block
 from .errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
@@ -57,8 +58,10 @@ CHECK_TOL = 1e-12
 # The longest power table a DigitStatPower keeps: 2**15 entries (512 KB of
 # complex128 array, ~1.3 MB of Python complexes) cover every statistic of an
 # int64 n in bases up to 4096, whose digit sum is at most 6 * 4094 (base
-# 4095).  A longer table is built for the call that needs it and dropped.
+# 4095).  A larger statistic continues from the kept table for its call alone.
 _POWER_TABLE_MAX = 2**15
+_Powers = tuple[tuple[complex, ...], np.ndarray]
+_NO_POWERS: _Powers = ((), np.empty(0))
 
 
 def _as_complex_tuple(values) -> tuple[complex, ...]:
@@ -73,26 +76,31 @@ def _nonnegative(n) -> int:
 
 
 def _int_power_table(
-    w: complex, m_max: int, real: bool
-) -> tuple[tuple[complex, ...], np.ndarray]:
+    w: complex, m_max: int, real: bool, kept: _Powers = _NO_POWERS
+) -> _Powers:
     """Powers w**0 .. w**m_max by iterated multiplication (no branch cuts).
 
     Returns them twice: as a tuple of Python complexes for scalar lookups and
     as a read-only float64 (real) or complex128 array for fancy indexing,
     both holding the same products.  Python's float and complex products
     round as numpy's do, so the tables match a numpy scalar loop bit for bit.
+    A ``kept`` pair that this function returned for the same w and real is
+    continued from its last product, not rebuilt: each power is the one
+    before it times w, so the result is bitwise the table built from w**0.
     Powers that overflow become inf or nan without a warning; callers check
     finiteness where it matters.
     """
+    values, array = kept
     x = w.real if real else w
-    p = 1.0 if real else complex(1.0)
-    powers = [p]
-    for _ in range(m_max):
+    p = array[-1].item() if values else (1.0 if real else complex(1.0))
+    powers = [] if values else [p]
+    for _ in range(m_max + 1 - len(values) - len(powers)):
         p = p * x
         powers.append(p)
-    array = np.array(powers, dtype=np.float64 if real else np.complex128)
+    new = np.array(powers, dtype=np.float64 if real else np.complex128)
+    array = np.concatenate((array, new))  # an empty float64 array takes new's dtype
     array.flags.writeable = False  # shared by every caller
-    return (tuple(map(complex, powers)) if real else tuple(powers)), array
+    return values + (tuple(map(complex, powers)) if real else tuple(powers)), array
 
 
 @dataclass(frozen=True)
@@ -160,19 +168,19 @@ class StronglyMultiplicative:
 class DigitStatPower:
     """u(n) = w ** stat(n) for a digit statistic in the sequence's base.
 
-    The constructor checks the statistic against the base and binds its
-    counter (digits._counter), so value() counts with no cache lookup.
-    The powers w**0 .. w**m are kept as one cached ``(values, array)`` pair
-    built by _int_power_table from one list of products: value() indexes
+    The constructor checks the statistic against the base and binds the
+    counter of its digits._stat_record, so value() counts with no cache
+    lookup.  The powers w**0 .. w**m are one chain of products, kept as one
+    ``(values, array)`` pair from _int_power_table: value() indexes
     ``values``, a tuple of Python complexes, and block() indexes ``array``,
-    so the two agree bit for bit by construction.  A statistic beyond the
-    pair builds a new one at least twice as long, up to _POWER_TABLE_MAX
-    entries, and rebinds it as one attribute; a statistic beyond that builds
-    a pair for its call alone, which gives the same bits since every table
-    multiplies up from w**0.  A pair is never extended in place, so calls on
-    other threads only ever see a whole one.  Each call indexes the pair it
-    read or built, so no lock is needed: two threads that rebuild at once
-    cost a rebuild, not a wrong value.
+    so the two agree bit for bit.  A statistic beyond the pair continues the
+    chain into a new pair at least twice as long, up to _POWER_TABLE_MAX
+    entries; one beyond that continues it for its call alone, in Python
+    scalars in value() and as a dropped table in block().  Each power is the
+    one before it times w, so every path gives the bits of one table built
+    from w**0.  The pair is rebound whole, never extended in place, and each
+    call indexes the pair it read or built, so threads need no lock: two
+    that grow it at once cost a rebuild, not a wrong value.
     """
 
     base: int
@@ -182,33 +190,41 @@ class DigitStatPower:
     def __init__(self, base: int, w, stat: DigitStat):
         object.__setattr__(self, "base", check_base(base))
         object.__setattr__(self, "w", complex(w))
-        _check_stat(stat, self.base)
+        object.__setattr__(self, "_count", _stat_record(stat, self.base).count)
         object.__setattr__(self, "stat", stat)
-        object.__setattr__(self, "_count", _counter(stat, self.base))
-        object.__setattr__(self, "_powers", ((), np.empty(0)))
+        object.__setattr__(self, "_powers", _NO_POWERS)
 
     @cached_property
     def is_real(self) -> bool:
         return self.w.imag == 0.0
 
-    def _powers_up_to(self, m_max: int) -> tuple[tuple[complex, ...], np.ndarray]:
-        """The pair (values, array) of powers w**0 .. w**m for some m >= m_max."""
+    def _kept_powers(self, m_max: int) -> _Powers:
+        """The kept pair, first grown to hold w**m_max or, past the cap, to the cap."""
         powers = self._powers
-        if m_max >= len(powers[0]):
-            if m_max >= _POWER_TABLE_MAX:
-                return _int_power_table(self.w, m_max, self.is_real)
+        if m_max >= len(powers[0]) < _POWER_TABLE_MAX:
             m = min(max(m_max, 2 * len(powers[0])), _POWER_TABLE_MAX - 1)
-            powers = _int_power_table(self.w, m, self.is_real)
+            powers = _int_power_table(self.w, m, self.is_real, powers)
             object.__setattr__(self, "_powers", powers)
         return powers
 
     def value(self, n: int) -> complex:
         m = self._count(_nonnegative(n))
-        return self._powers_up_to(m)[0][m]
+        try:
+            return self._kept_powers(m)[0][m]
+        except IndexError:  # past the cap: continue the kept chain for this call
+            values = self._powers[0]
+            x, p = (self.w.real, values[-1].real) if self.is_real else (self.w, values[-1])
+            for _ in range(m + 1 - len(values)):
+                p = p * x
+            return complex(p)
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         stats = digit_stat_block(ns, self.stat, self.base)
-        return self._powers_up_to(int(stats.max(initial=0)))[1][stats]
+        m = int(stats.max(initial=0))
+        powers = self._kept_powers(m)
+        if m >= len(powers[0]):
+            powers = _int_power_table(self.w, m, self.is_real, powers)
+        return powers[1][stats]
 
 
 @dataclass(frozen=True)
@@ -354,27 +370,40 @@ def verify_strong_mult(seq: ExponentSeq, limit: int) -> StrongMultReport:
 class RecursionProfile:
     """Verified data of the digit recursion u(B*n + k) = u(n) * v(k), n >= 1.
 
-    ``v_prefix`` holds the partial sums (0, v(0), v(0)+v(1), ...); its last
-    entry is the full sum, whose modulus must stay below ``base`` for the
-    products downstream to converge.  ``alpha`` is the growth exponent of the
-    partial sums of u: 1/2 when |sum v| <= 1, else log|sum v| / log base.
-    ``certified`` is True when the recursion checked on [0, checked] provably
-    holds for every n >= 1 (see ``recursion_profile``).
+    The fields are what ``recursion_profile`` measured: the multipliers
+    ``v``, the seed ``n0`` they were read at, whether |u| <= 1 held on the
+    checked window [0, ``checked``], and ``certified``, True when the
+    recursion checked there provably holds for every n >= 1.  The rest
+    derives from ``v``, so it cannot disagree with it: ``v_prefix``, the
+    partial sums (0, v(0), v(0)+v(1), ...); ``v_total``, their last entry,
+    whose modulus stays below ``base`` for the products downstream to
+    converge; ``alpha``, the growth exponent of the partial sums of u, 1/2
+    when |v_total| <= 1, else log|v_total| / log base; and ``v_bounded``.
     """
 
     base: int
     v: tuple[complex, ...]
     n0: int
-    v_prefix: tuple[complex, ...]
-    alpha: float
     u_bounded: bool
-    v_bounded: bool
     checked: int
     certified: bool = False
+
+    @cached_property
+    def v_prefix(self) -> tuple[complex, ...]:
+        return tuple(accumulate(self.v, initial=complex(0.0)))
 
     @property
     def v_total(self) -> complex:
         return self.v_prefix[-1]
+
+    @property
+    def alpha(self) -> float:
+        total = abs(self.v_total)
+        return 0.5 if total <= 1.0 else log(total) / log(self.base)
+
+    @property
+    def v_bounded(self) -> bool:
+        return all(abs(val) <= 1.0 + CHECK_TOL for val in self.v)
 
     def require_unit_bounds(self) -> None:
         if not self.u_bounded:
@@ -461,28 +490,18 @@ def recursion_profile(
     if first is not None:
         raise HypothesisFailed(*first)
 
-    u_bounded = bool(np.abs(u).max() <= 1.0 + CHECK_TOL)
-    v_bounded = all(abs(val) <= 1.0 + CHECK_TOL for val in v)
-
-    prefix = [complex(0.0)]
-    for val in v:
-        prefix.append(prefix[-1] + val)
-    total = prefix[-1]
-    if abs(total) >= b - 1e-9:
-        raise ConvergenceHypothesisViolated(
-            f"|sum of v(k)| = {abs(total):.6g} >= base {b}; "
-            "the associated products may diverge"
-        )
-    alpha = 0.5 if abs(total) <= 1.0 else log(abs(total)) / log(b)
-
-    return RecursionProfile(
+    profile = RecursionProfile(
         base=b,
         v=v,
         n0=n0,
-        v_prefix=tuple(prefix),
-        alpha=float(alpha),
-        u_bounded=u_bounded,
-        v_bounded=v_bounded,
+        u_bounded=bool(np.abs(u).max() <= 1.0 + CHECK_TOL),
         checked=limit,
         certified=_recursion_certified(seq, b, limit),
     )
+    total = abs(profile.v_total)
+    if total >= b - 1e-9:
+        raise ConvergenceHypothesisViolated(
+            f"|sum of v(k)| = {total:.6g} >= base {b}; "
+            "the associated products may diverge"
+        )
+    return profile

@@ -91,17 +91,12 @@ class GrowthReport:
         return self.passed
 
 
-def growth_check(
-    profile: RecursionProfile,
-    seq: ExponentSeq,
-    checkpoints,
-    slack: float = 1.25,
-) -> GrowthReport:
+def growth_check(profile: RecursionProfile, seq: ExponentSeq, checkpoints) -> GrowthReport:
     """Check |F(N)| / N**alpha stays bounded along increasing checkpoints.
 
     The bound is asymptotic, so the envelope is judged after the first
     quartile of checkpoints: no later ratio may exceed the early envelope by
-    more than ``slack``.  Checkpoints start at 1: F(0) = 0 would make the
+    more than a factor 1.25.  Checkpoints start at 1: F(0) = 0 would make the
     envelope 0.
     """
     pts = [int(p) for p in checkpoints]
@@ -121,7 +116,7 @@ def growth_check(
     early = max(ratios[:q1])
     late = max(ratios[q1:]) if len(ratios) > q1 else early
     c_est = max(late, early)
-    passed = late <= slack * early
+    passed = late <= 1.25 * early
     return GrowthReport(
         alpha=alpha, c_est=c_est, passed=passed, ratios=ratios, c_log_est=c_log
     )

@@ -155,7 +155,7 @@ def test_c08_gamma_side(capsys):
     ok_odd = True
     for b in (3, 5, 7, 9):
         ok_odd &= abs(odd_base_products(b).wallis - math.pi / 2) <= 1e-12
-    side = verify_alternating_products(3, 10**6, tol=1e-4)
+    side = verify_alternating_products(3, 10**6)
 
     with capsys.disabled():
         passfail("C8 Wallis quotient = pi/2", ok_wallis, abs_err=wallis_err)

@@ -1,9 +1,11 @@
 """The verdict rule of tools/bench_pairs.compare, which writes every BENCH file.
 
 A gain needs >= 9 of 10 pair wins and a median gain above the parent's
-q3 - q1; otherwise the change is "within bound" while its median is worse
-than the parent's by at most the bound, and a "regression" past it.  For a
-metric where higher is better, the signs flip.
+q3 - q1; otherwise the change is a "regression" when its median is worse
+than the parent's by more than the bound, "unresolved" when either side's
+spread is wider than the bound and some change run is no better than some
+parent run, and "within bound" else.  For a metric where higher is better,
+the signs flip.
 """
 
 import importlib.util
@@ -69,3 +71,31 @@ def test_bound_flips_for_higher_is_better(change, verdict):
     assert result["median_change_frac"] == pytest.approx((change - 4.0) / 4.0, abs=1e-4)
     wins = 10 if change > 4.0 else 0
     assert result["change_wins"] == wins
+
+
+# 1.0 five times and 1.5 five times: median 1.25, q1 1.0, q3 1.5, spread 0.4
+WIDE = [1.0] * 5 + [1.5] * 5
+
+
+@pytest.mark.parametrize("spec", [LOWER, HIGHER])
+def test_spread_wider_than_the_bound_is_unresolved(spec):
+    # the parent's spread hides any change within 0.4 of its median
+    result = bench_pairs.compare(spec, WIDE, WIDE)
+    assert result["spread_parent"] == 0.4
+    assert result["verdict"] == "unresolved"
+    # so does the change's own spread
+    assert _verdict(spec, [1.25] * 10, WIDE) == "unresolved"
+    assert _verdict(spec, WIDE, [1.25] * 10) == "unresolved"
+
+
+def test_unresolved_unless_every_change_run_beats_every_parent_run():
+    # ten wins by less than q3 - q1 are no gain, but all ten beat the best
+    # parent run, so the spread cannot hide a loss
+    assert _verdict(LOWER, WIDE, [0.99] * 10) == "within bound"
+    assert _verdict(HIGHER, WIDE, [1.51] * 10) == "within bound"
+    # one change run tied with the best parent run leaves it unresolved
+    assert _verdict(LOWER, WIDE, [0.99] * 9 + [1.0]) == "unresolved"
+
+
+def test_regression_past_the_bound_is_reported_despite_the_spread():
+    assert _verdict(LOWER, WIDE, [w + 0.4 for w in WIDE]) == "regression"

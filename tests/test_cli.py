@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digitprod.cli import main, parse_complex, parse_spec, render_complex, render_spec
-from digitprod.digits import DigitStat, _level_tables, digits_of
+from digitprod.digits import DigitStat, _stat_record, digits_of
 from digitprod.errors import ParseError, ValidationError
 from digitprod.identities import catalog, r_product_spec
 from digitprod.products import Factor, ProductSpec
@@ -153,10 +153,10 @@ def test_cli_digits_json(capsys):
 def test_cli_digits_reads_one_digit_list(capsys):
     # one count per digit of base 4096 must not build a level table each
     n = 10**60 + 12345
-    before = _level_tables.cache_info().currsize
+    before = _stat_record.cache_info().currsize
     code, out = run(capsys, ["digits", "--n", str(n), "--base", "4096", "--output", "json"])
     assert code == 0
-    assert _level_tables.cache_info().currsize == before
+    assert _stat_record.cache_info().currsize == before
     payload = json.loads(out)
     ds = digits_of(n, 4096)
     assert payload["length"] == len(ds) and payload["digit_sum"] == sum(ds)
@@ -497,6 +497,13 @@ def test_cli_readme_examples_run(capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
     capsys.readouterr()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"  # verify_all passed
 
 
 def _run_child(*args):

@@ -11,7 +11,7 @@ from digitprod.digits import (
     from_digits,
     thue_morse,
 )
-from digitprod.digits import _TABLE_CACHE, _counter, _level_tables, _per_digit_stats
+from digitprod.digits import _TABLE_CACHE, _per_digit_stats, _stat_record
 from digitprod.errors import ValidationError
 from digitprod.sequences import DigitStatPower, thue_morse_seq
 
@@ -266,10 +266,10 @@ def test_value_beyond_int64_is_w_to_the_statistic(b):
 
 def test_value_skips_the_counter_cache():
     seq = DigitStatPower(3, 1j, DigitStat.digit_sum())
-    before = _counter.cache_info()
+    before = _stat_record.cache_info()
     for n in range(10**4):
         seq.value(n * 2**40 + n)
-    after = _counter.cache_info()
+    after = _stat_record.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
@@ -298,8 +298,7 @@ def test_level_table_caches_are_bounded():
     ds = digits_of(n, 4096)
     for j in range(_TABLE_CACHE + 40):
         assert digit_stat(n, DigitStat.count(j), 4096) == ds.count(j)
-    assert _level_tables.cache_info().currsize <= _TABLE_CACHE
-    assert _counter.cache_info().currsize <= _TABLE_CACHE
+    assert _stat_record.cache_info().currsize <= _TABLE_CACHE
 
 
 def test_validation():

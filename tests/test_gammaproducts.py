@@ -130,7 +130,7 @@ def test_odd_base_rejects_even():
 
 
 def test_verify_alternating_products():
-    rep = verify_alternating_products(5, 2 * 10**5, tol=1e-3)
+    rep = verify_alternating_products(5, 2 * 10**5)
     assert rep.passed
     assert rep.rewrite_dev <= 1e-12
     with pytest.raises(ValidationError):

@@ -144,6 +144,36 @@ def test_power_table_matches_numpy_scalar_loop(w):
         ), real
 
 
+@pytest.mark.parametrize("w", [0.9999, -0.9999, 0.6 + 0.8j, 0.6 - 0.7j])
+def test_power_chain_matches_a_table_from_w0(w):
+    # digit sums in base 10**5 are the digit itself below 10**5: statistics
+    # past the kept 2**15 entries continue its chain for one call, and every
+    # kept pair continues the one before; each must give the bits of one
+    # table built from w**0 for that statistic alone
+    w = complex(w)
+    real = w.imag == 0.0
+    stats = [2**15 - 1, 2**15, 49950]
+
+    def bits(values):
+        return np.asarray(values, dtype=np.complex128).view(np.int64).tolist()
+
+    for m in stats:
+        values, array = _int_power_table(w, m, real)
+        seq = DigitStatPower(10**5, w, DigitStat.digit_sum())
+        assert bits([seq.value(m)]) == bits([values[m]]), m
+        ns = np.array([m, 7, 2**14], dtype=np.int64)
+        seq = DigitStatPower(10**5, w, DigitStat.digit_sum())
+        assert bits(seq.block(ns)) == bits(array[ns]), m
+    seq = DigitStatPower(10**5, w, DigitStat.digit_sum())
+    for m in [5, 100, 3000, 20000, *stats]:
+        values, array = _int_power_table(w, m, real)
+        assert bits([seq.value(m)]) == bits([values[m]]), m
+        assert bits(seq.block(np.array([m, 1], dtype=np.int64))) == bits(array[[m, 1]]), m
+        kept_values, kept_array = seq._powers
+        assert len(kept_values) == len(kept_array) <= 2**15
+        assert kept_array.dtype == array.dtype
+
+
 @pytest.mark.parametrize("q", range(2, 13))
 def test_periodic_value_matches_its_table(q):
     # value() reads a cached tuple; it must give the bits that converting

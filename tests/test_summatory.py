@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -90,14 +91,22 @@ def test_profile_mismatch_detected():
         base=good.base,
         v=(complex(1.0), complex(1.0)),  # wrong: v(1) should be -1
         n0=good.n0,
-        v_prefix=(0j, 1 + 0j, 2 + 0j),
-        alpha=0.5,
         u_bounded=True,
-        v_bounded=True,
         checked=good.checked,
     )
     with pytest.raises(ProfileMismatch):
         partial_sum_recursive(bad, tm, 1000)
+
+
+def test_profile_sums_cannot_disagree_with_v():
+    # v_prefix, v_total and alpha derive from v: a profile whose stored sums
+    # contradicted v would pass the spot check and give a wrong F
+    tm = thue_morse_seq()
+    prof = recursion_profile(tm)
+    with pytest.raises(TypeError):
+        dataclasses.replace(prof, v_prefix=(0j, 1 + 0j, 0.5 + 0j))
+    assert prof.v_prefix == (0j, 1 + 0j, 0j) and prof.v_total == 0j
+    assert partial_sum_recursive(prof, tm, 1001) == partial_sum_direct(tm, 1001) == 1
 
 
 def test_growth_thue_morse_bounded():

@@ -84,26 +84,40 @@ def summarize(values: list[float]) -> dict:
             "runs": [round(v, 6) for v in values]}
 
 
+def spread(summary: dict) -> float:
+    """(q3 - q1) / median, 0 for a zero median."""
+    return (summary["q3"] - summary["q1"]) / summary["median"] if summary["median"] else 0.0
+
+
 def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """Pair wins, the median change and a verdict for one gated metric."""
+    """Pair wins, the median change and a verdict for one gated metric.
+
+    A metric that is neither a gain nor a regression is "unresolved" when
+    either side's spread is wider than its bound, since such runs cannot show
+    that it stayed within the bound, unless every run of the change is
+    better than every run of the parent.
+    """
     sign = 1.0 if spec["better"] == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
     p, c = summarize(parent), summarize(change)
     gain = sign * (p["median"] - c["median"])
     frac = gain / p["median"] if p["median"] else 0.0
+    all_better = min(sign * v for v in parent) > max(sign * v for v in change)
     if wins >= 0.9 * len(parent) and gain > p["q3"] - p["q1"]:
         verdict = "gain"
-    elif frac >= -spec["bound"]:
-        verdict = "within bound"
-    else:
+    elif frac < -spec["bound"]:
         verdict = "regression"
+    elif max(spread(p), spread(c)) > spec["bound"] and not all_better:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c, "change_wins": wins, "change_losses": losses,
         "median_change_frac": round(frac, 4),
-        "spread_parent": round((p["q3"] - p["q1"]) / p["median"], 4) if p["median"] else 0.0,
-        "spread_change": round((c["q3"] - c["q1"]) / c["median"], 4) if c["median"] else 0.0,
+        "spread_parent": round(spread(p), 4),
+        "spread_change": round(spread(c), 4),
         "verdict": verdict,
     }
 
@@ -171,7 +185,9 @@ def main(argv=None) -> int:
                           "method='inclusive') over the runs; spread = (q3 - q1) / median; "
                           "a gain needs >= 9/10 pair wins and a median difference larger "
                           "than the parent's q3 - q1; otherwise the change's median may be "
-                          "worse than the parent's by at most the bound in BENCHMARK.json",
+                          "worse than the parent's by at most the bound in BENCHMARK.json; "
+                          "a metric whose spread on either side exceeds its bound is "
+                          "unresolved unless every change run beats every parent run",
             "traced": f"python3 perfbench/run.py --workload W --seed {seeds[0]} "
                       f"--seconds {seconds:g} --trace 1, one run per side; values "
                       "are per workload call",
