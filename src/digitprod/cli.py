@@ -33,7 +33,7 @@ import sys
 from collections import Counter
 from math import exp, log
 
-from .digits import DigitStat, digits_of, thue_morse
+from .digits import DigitStat, check_base, check_nonnegative, digits_of, thue_morse
 from .errors import (
     ConvergenceHypothesisViolated,
     DigitprodError,
@@ -223,8 +223,7 @@ def parse_spec(text: str) -> ProductSpec | ExponentSeq:
         base = int(base_text)
     except ValueError:
         raise ParseError(f"bad base {base_text!r}", base_pos) from None
-    if base < 2:
-        raise ValidationError(f"base must be >= 2, got {base}")
+    check_base(base)
 
     if "exponent" not in fields:
         raise ParseError("missing exponent=...")
@@ -381,6 +380,7 @@ def _cmd_summatory(args) -> int:
     parsed = _spec_from_args(args)
     seq = parsed.seq if isinstance(parsed, ProductSpec) else parsed
     base = parsed.base if isinstance(parsed, ProductSpec) else seq.base
+    check_nonnegative(args.terms)
     profile = recursion_profile(seq, base=base)
     rows = []
     n = base

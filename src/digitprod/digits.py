@@ -28,6 +28,7 @@ from .errors import ValidationError
 
 __all__ = [
     "check_base",
+    "check_nonnegative",
     "digits_of",
     "from_digits",
     "DigitStat",
@@ -43,13 +44,19 @@ def check_base(base: int) -> int:
     return int(base)
 
 
+def check_nonnegative(n) -> int:
+    """n as an int, or ValidationError if it is negative."""
+    n = int(n)
+    if n < 0:
+        raise ValidationError(f"n must be nonnegative, got {n}")
+    return n
+
+
 def digits_of(n: int, base: int) -> list[int]:
     """Digits of n in the given base, least significant first; 0 -> []."""
     base = check_base(base)
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
+    n = check_nonnegative(n)
     out = []
-    n = int(n)
     while n > 0:
         n, d = divmod(n, base)
         out.append(d)
@@ -96,6 +103,8 @@ class DigitStat:
         return DigitStat("length")
 
     def check_for_base(self, base: int) -> None:
+        if self.kind not in ("count", "digit_sum", "length"):
+            raise ValidationError(f"unknown digit statistic {self.kind!r}")
         if self.kind == "count":
             bad = [j for j in self.digits if not 0 <= j < base]
             if bad:
@@ -113,10 +122,7 @@ def digit_stat(n: int, stat: DigitStat, base: int) -> int:
     """
     base = check_base(base)
     count = _stat_record(stat, base).count
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    return count(n)
+    return count(check_nonnegative(n))
 
 
 def _digit_weight(stat: DigitStat, base: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -130,9 +136,7 @@ def _digit_weight(stat: DigitStat, base: int) -> Callable[[np.ndarray], np.ndarr
         return member.__getitem__
     if stat.kind == "digit_sum":
         return lambda d: d
-    if stat.kind == "length":
-        return np.ones_like
-    raise ValidationError(f"unknown digit statistic {stat.kind!r}")
+    return np.ones_like
 
 
 def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
@@ -193,9 +197,7 @@ def _stat_record(stat: DigitStat, base: int) -> _StatRecord:
             "count": stat.digits.__contains__,
             "digit_sum": lambda d: d,
             "length": lambda d: 1,
-        }.get(stat.kind)
-        if weight is None:
-            raise ValidationError(f"unknown digit statistic {stat.kind!r}")
+        }[stat.kind]
 
         def count_digits(n: int) -> int:
             out = 0
@@ -266,6 +268,4 @@ def digit_stat_block(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
 
 def thue_morse(n: int) -> int:
     """+1 or -1 according to the parity of the number of ones in binary n."""
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    return -1 if int(n).bit_count() % 2 else 1
+    return -1 if check_nonnegative(n).bit_count() % 2 else 1

@@ -96,6 +96,13 @@ def wallis_quotient() -> GammaQuotient:
     return GammaQuotient((1.0, 1.0), (0.5, 1.5))
 
 
+def _check_odd_base(base: int) -> int:
+    b = int(base)
+    if b % 2 == 0 or b < 3:
+        raise DomainError(f"base must be odd and >= 3, got {b}")
+    return b
+
+
 def alternating_pair_quotient(base: int, residue: int) -> GammaQuotient:
     """Gamma form of prod_{n>=delta_k} ((B*n+k)/(B*n+k+1))**(-1)**n, B odd.
 
@@ -104,9 +111,7 @@ def alternating_pair_quotient(base: int, residue: int) -> GammaQuotient:
     2*B*m.  For k = 0 the product starts at n = 1, so the pairing is
     n = 2m+1, 2m+2 with offsets (B+1, 2B) over (B, 2B+1).
     """
-    b, k = int(base), int(residue)
-    if b % 2 == 0 or b < 3:
-        raise DomainError(f"base must be odd and >= 3, got {b}")
+    b, k = _check_odd_base(base), int(residue)
     if not 0 <= k < b:
         raise ValidationError(f"residue {k} out of range for base {b}")
     if k >= 1:
@@ -146,9 +151,7 @@ def odd_base_products(base: int) -> OddBaseProducts:
     even_k = pi * sqrt(B) * C(B-1, (B-1)/2) / 2**B and
     odd_k = 2**(B-1) / (sqrt(B) * C(B-1, (B-1)/2)); their product is pi/2.
     """
-    b = int(base)
-    if b % 2 == 0 or b < 3:
-        raise DomainError(f"base must be odd and >= 3, got {b}")
+    b = _check_odd_base(base)
     m = (b - 1) // 2
     ratio = _central_binomial_ratio(m)
     even_k = pi * sqrt(b) * ratio / 2.0
@@ -180,9 +183,7 @@ def verify_alternating_products(base: int, n_terms: int) -> AlternatingSideRepor
     Also checks that the odd-residue closed form is the n >= 0 alternating
     product 1/sqrt(B) with its n = 0 factor removed.
     """
-    b = int(base)
-    if b % 2 == 0 or b < 3:
-        raise DomainError(f"base must be odd and >= 3, got {b}")
+    b = _check_odd_base(base)
     if n_terms < 2 or n_terms % 2:
         raise ValidationError(f"n_terms must be even and >= 2, got {n_terms}")
     closed = odd_base_products(b)

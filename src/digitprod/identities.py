@@ -428,11 +428,9 @@ class VerifyReport:
         }
 
 
-def _part_keys(
-    claims: list[IdentityClaim], n_terms: int | None
-) -> list[tuple[ProductSpec, int]]:
+def _part_keys(claims: list[IdentityClaim], n_terms: int) -> list[tuple[ProductSpec, int]]:
     """The distinct (spec, N) evaluations of the claims' parts, in order."""
-    n = int(n_terms) if n_terms is not None else DEFAULT_BUDGET
+    n = int(n_terms)
     keys: dict[tuple[ProductSpec, int], None] = {}  # an insertion-ordered set
     for claim in claims:
         for part in claim.parts:
@@ -449,7 +447,7 @@ def _evaluate_timed(key: tuple[ProductSpec, int]) -> tuple[EvalResult, float]:
 
 def verify_claim(
     claim: IdentityClaim,
-    n_terms: int | None = None,
+    n_terms: int = DEFAULT_BUDGET,
     results: dict | None = None,
 ) -> VerifyReport:
     """Evaluate a claim's parts and compare against its closed form.
@@ -458,7 +456,7 @@ def verify_claim(
     evaluated already; without it each distinct part is evaluated here.  The
     report's ``seconds`` is the sum of its distinct parts' evaluation times.
     """
-    n = int(n_terms) if n_terms is not None else DEFAULT_BUDGET
+    n = int(n_terms)
     keys = _part_keys([claim], n)
     if results is None:
         results = {key: _evaluate_timed(key) for key in keys}
@@ -505,7 +503,7 @@ class VerifySummary:
 
 
 def verify_all(
-    n_terms: int | None = None,
+    n_terms: int = DEFAULT_BUDGET,
     names: list[str] | None = None,
     threads: int = 1,
 ) -> VerifySummary:

@@ -500,7 +500,8 @@ def telescoping_check(seq: ExponentSeq, n_limit: int) -> TelescopeReport:
 
     Checks, for n in [1, n_limit): sum_k log((Bn+k)/(Bn+k+1)) = log(n/(n+1)),
     and for n = 0 over k >= 1: the sum is -log B.  Also checks the u-weighted
-    sum-level consequence.
+    sum-level consequence, each side in one pass.  |u| <= 1 must hold on
+    [0, B*n_limit) (ValidationError otherwise).
     """
     base = seq.base
     if n_limit < 1:
@@ -512,24 +513,14 @@ def telescoping_check(seq: ExponentSeq, n_limit: int) -> TelescopeReport:
     head = fsum(log_ratio_term(base, k, 0) for k in range(1, base))
     head_dev = abs(head + math.log(base))
 
-    max_dev = 0.0
-    weighted_lhs_parts: list[complex] = []
-    weighted_rhs_parts: list[complex] = []
-    for s in range(1, n_limit, _BLOCK):
-        e = min(s + _BLOCK, n_limit)
-        ns = np.arange(s, e, dtype=np.int64)
-        total = np.zeros(e - s, dtype=np.float64)
-        for k in range(base):
-            total += _log_ratio_block(base, k, ns)
-        rhs = -np.log1p(1.0 / ns)
-        max_dev = max(max_dev, float(np.abs(total - rhs).max()))
-        un = u_all[s:e]
-        weighted_lhs_parts.append(complex(np.dot(un, total)))
-        weighted_rhs_parts.append(complex(np.dot(un, rhs)))
-    u0 = complex(u_all[0])
-    weighted_lhs = _fsum_c(weighted_lhs_parts) + u0 * head
-    weighted_rhs = _fsum_c(weighted_rhs_parts) - u0 * math.log(base)
+    ns = np.arange(1, n_limit, dtype=np.int64)
+    total = sum(_log_ratio_block(base, k, ns) for k in range(base))
+    rhs = _log_ratio_block(1, 0, ns)  # log(n/(n+1)), the merged factor
+    un, u0 = u_all[1:n_limit], complex(u_all[0])
+    weighted_lhs = complex(np.dot(un, total)) + u0 * head
+    weighted_rhs = complex(np.dot(un, rhs)) - u0 * math.log(base)
     weighted_dev = abs(weighted_lhs - weighted_rhs)
+    max_dev = float(np.abs(total - rhs).max(initial=0.0))
 
     passed = max_dev <= CHECK_TOL and head_dev <= CHECK_TOL and (
         weighted_dev <= CHECK_TOL * max(1.0, abs(weighted_rhs)))
@@ -547,42 +538,28 @@ class SplitReport:
         return self.passed
 
 
-def residue_split_check(
-    seq: ExponentSeq,
-    n_limit: int,
-    base: int | None = None,
-) -> SplitReport:
-    """Finite form of the mod-B split of sum u(m) log(m/(m+1)).
+def residue_split_check(seq: ExponentSeq, n_limit: int) -> SplitReport:
+    """Finite form of the mod-B split of sum u(m) log(m/(m+1)), B = seq.base.
 
-    Both sides enumerate exactly the same terms, so with exact summation the
-    deviation is at float level; the recursion substitution is then checked
-    on the grouped side.
+    Both sides enumerate the same terms m in [1, B*n_limit), each summed in
+    one pass, so the deviation is at float level.  The substitution u(B*n + k)
+    = u(n) * v(k) is checked over the same block, with v from
+    ``recursion_profile`` at its default window: a break inside that window
+    raises HypothesisFailed, one beyond it fails the report.
     """
-    b = check_base(base if base is not None else seq.base)
+    b = seq.base
     if n_limit < 1:
         raise ValidationError(f"n_limit must be >= 1, got {n_limit}")
-    profile = recursion_profile(
-        seq, limit=max(4096, b * (b + 1), b * n_limit // 4), base=b
-    )
-
+    profile = recursion_profile(seq)
     u_all = seq.block(np.arange(0, b * n_limit, dtype=np.int64))
+    sub_dev, _ = recursion_deviation(u_all, profile.v, 1)
 
-    lhs_parts = []
-    for s in range(1, b * n_limit, _BLOCK):
-        e = min(s + _BLOCK, b * n_limit)
-        ms = np.arange(s, e, dtype=np.int64)
-        lhs_parts.append(complex(np.dot(u_all[s:e], -np.log1p(1.0 / ms))))
-    lhs = _fsum_c(lhs_parts)
-
+    lhs = complex(np.dot(u_all[1:], _log_ratio_block(1, 0, np.arange(1, b * n_limit))))
     rhs_parts = []
     for k in range(b):
-        start = 1 if k == 0 else 0
-        ns = np.arange(start, n_limit, dtype=np.int64)
-        a = _log_ratio_block(b, k, ns)
-        u_grouped = u_all[b * ns + k]
-        rhs_parts.append(complex(np.dot(u_grouped, a)))
+        ns = np.arange(1 if k == 0 else 0, n_limit, dtype=np.int64)
+        rhs_parts.append(np.dot(u_all[b * ns + k], _log_ratio_block(b, k, ns)))
     rhs = _fsum_c(rhs_parts)
-    sub_dev, _ = recursion_deviation(u_all, profile.v, 1)
 
     split_dev = abs(lhs - rhs)
     passed = split_dev <= CHECK_TOL * max(1.0, abs(lhs)) and sub_dev <= CHECK_TOL

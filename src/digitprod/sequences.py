@@ -32,7 +32,8 @@ from math import log
 
 import numpy as np
 
-from .digits import DigitStat, _stat_record, check_base, digit_stat_block
+from .digits import (DigitStat, _stat_record, check_base, check_nonnegative,
+                     digit_stat_block)
 from .errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
@@ -66,13 +67,6 @@ _NO_POWERS: _Powers = ((), np.empty(0))
 
 def _as_complex_tuple(values) -> tuple[complex, ...]:
     return tuple(complex(v) for v in values)
-
-
-def _nonnegative(n) -> int:
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    return n
 
 
 def _int_power_table(
@@ -134,7 +128,7 @@ class StronglyMultiplicative:
 
     def value(self, n: int) -> complex:
         re, im = 1.0, 0.0
-        n = _nonnegative(n)
+        n = check_nonnegative(n)
         while n > 0:
             n, d = divmod(n, self.base)
             if d:
@@ -208,7 +202,7 @@ class DigitStatPower:
         return powers
 
     def value(self, n: int) -> complex:
-        m = self._count(_nonnegative(n))
+        m = self._count(check_nonnegative(n))
         try:
             return self._kept_powers(m)[0][m]
         except IndexError:  # past the cap: continue the kept chain for this call
@@ -260,7 +254,7 @@ class PeriodicPower:
         return tuple(map(complex, self._table))
 
     def value(self, n: int) -> complex:
-        return self._values[_nonnegative(n) % self.q]
+        return self._values[check_nonnegative(n) % self.q]
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.q]
@@ -296,7 +290,7 @@ class SignedResidue:
         )
 
     def value(self, n: int) -> complex:
-        return self.signs[_nonnegative(n) % self.period]
+        return self.signs[check_nonnegative(n) % self.period]
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         return self._table[np.asarray(ns, dtype=np.int64) % self.period]

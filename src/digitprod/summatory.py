@@ -16,6 +16,7 @@ from math import exp, log
 
 import numpy as np
 
+from .digits import check_nonnegative
 from .errors import ProfileMismatch, ValidationError
 from .products import _BLOCK
 from .sequences import ExponentSeq, RecursionProfile
@@ -30,9 +31,7 @@ __all__ = [
 
 def partial_sum_direct(seq: ExponentSeq, n: int) -> complex:
     """F(n) by direct summation, O(n) with vectorized blocks."""
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
+    n = check_nonnegative(n)
     total = complex(0.0)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
@@ -56,9 +55,7 @@ def partial_sum_recursive(
     profile: RecursionProfile, seq: ExponentSeq, n: int
 ) -> complex:
     """F(n) via the digit-peeling recursion; equals partial_sum_direct."""
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
+    n = check_nonnegative(n)
     b = profile.base
     _spot_check(profile, seq, n)
     u0 = seq.value(0)

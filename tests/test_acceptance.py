@@ -267,7 +267,7 @@ def test_c10_structural_identities(capsys):
                 continue
             seen.add(key)
             b = part.spec.base
-            rep = residue_split_check(part.spec.seq, b**6, base=b)
+            rep = residue_split_check(part.spec.seq, b**6)
             ok_split &= rep.passed
 
     # the classic base-2 trick: merge the residue factors, then split by parity

@@ -431,6 +431,22 @@ def test_cli_summatory_non_finite_partial_sum_exit_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_cli_summatory_negative_terms_exit_2(capsys, output):
+    code, out = run(capsys, ["summatory", "--spec", "base=2; exponent=thue_morse",
+                             "--terms", "-5", "--output", output])
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_eval_abstract_example_base_3(capsys):
+    # prod ((3n+1)/(3n+2))**((-1)**N_1(n)) = 1/sqrt(3), N_1 the count of 1s
+    spec = "base=3; exponent=count_digit_pow(-1,1); factors=1:1"
+    code, out = run(capsys, ["eval", "--spec", spec])
+    assert code == 0
+    assert json.loads(out)["value_re"] == 0.5773502691896258
+
+
 def test_cli_estimate_qr(capsys):
     code, out = run(capsys, ["estimate", "qr", "--terms", "100000"])
     assert code == 0

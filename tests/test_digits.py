@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from digitprod.digits import (
     DigitStat,
+    check_nonnegative,
     digit_stat,
     digit_stat_block,
     digits_of,
@@ -310,3 +311,11 @@ def test_validation():
         DigitStat.count_set(set())
     with pytest.raises(ValidationError):
         digit_stat(5, DigitStat.count(7), 2)
+
+
+def test_check_nonnegative():
+    assert check_nonnegative(0) == 0
+    assert check_nonnegative(np.int64(7)) == 7
+    assert type(check_nonnegative(np.int64(7))) is int
+    with pytest.raises(ValidationError, match="n must be nonnegative, got -3"):
+        check_nonnegative(-3)

@@ -249,3 +249,12 @@ def test_q_times_r_is_three_halves():
     report = estimate_qr(10**6)
     assert abs(report["product_check"] - 1.5) <= 1e-12
     assert report["terms"] <= 10**6
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_abstract_example_in_every_base(base):
+    # prod_n ((Bn+1)/(Bn+2))**((-1)**N_1(n)) = 1/sqrt(B), N_1 the count of 1s
+    seq = DigitStatPower(base, -1.0, DigitStat.count(1))
+    res = evaluate_moments(ProductSpec(base, [Factor(1)], seq), 10**6)
+    assert abs(res.log_value + 0.5 * cmath.log(base)) <= res.err_est
+    assert abs(res.value - base**-0.5) <= 1e-15 * base**-0.5

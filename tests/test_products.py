@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from digitprod.digits import DigitStat
+from digitprod.digits import DigitStat, thue_morse
 from digitprod.errors import ConvergenceHypothesisViolated, DomainError, ValidationError
 from digitprod import products
 from digitprod.identities import catalog
@@ -23,6 +23,7 @@ from digitprod.products import (
 from digitprod.sequences import (
     DigitStatPower,
     PeriodicPower,
+    SignedResidue,
     StronglyMultiplicative,
     thue_morse_seq,
 )
@@ -220,6 +221,26 @@ def test_residue_split_digit_sum_base3():
     seq = DigitStatPower(3, -1.0, DigitStat.digit_sum())
     rep = residue_split_check(seq, 729)
     assert rep.passed
+
+
+def test_residue_split_reports_a_break_beyond_the_profile_window():
+    # Thue-Morse repeated with period 8192: u(2n + k) = u(n) v(k) holds on
+    # the profile's window [0, 4096] and first breaks where 2n + k wraps
+    seq = SignedResidue(2, [thue_morse(n) for n in range(8192)])
+    rep = residue_split_check(seq, 3 * 8192)
+    assert not rep.passed
+    assert rep.substitution_dev == 2.0
+    assert rep.split_dev <= 1e-12
+
+
+@pytest.mark.parametrize("n_limit", [1, 2**19 + 5])
+def test_trick_checks_at_the_range_ends(n_limit):
+    # n_limit = 1 leaves every range empty; 2**19 + 5 spans more than one
+    # engine block in a single pass
+    merge = telescoping_check(thue_morse_seq(), n_limit)
+    split = residue_split_check(thue_morse_seq(), n_limit)
+    assert merge.passed and split.passed
+    assert merge.checked == split.checked == n_limit
 
 
 def test_factor_validation():
