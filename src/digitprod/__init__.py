@@ -9,7 +9,7 @@ catalog of closed-form identities for them, and evaluates the companion
 Gamma-function quotients.  See the README for the CLI and the grammar.
 """
 
-from .digits import DigitStat, digit_stat, digits_of, from_digits, thue_morse
+from .digits import DigitStat, digit_stat, digits_of, thue_morse
 from .errors import (
     BalanceError,
     ConvergenceHypothesisViolated,
@@ -61,7 +61,6 @@ from .sequences import (
     StronglyMultiplicative,
     recursion_profile,
     thue_morse_seq,
-    verify_strong_mult,
 )
 from .summatory import growth_check, partial_sum_direct, partial_sum_recursive
 

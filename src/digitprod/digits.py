@@ -30,7 +30,6 @@ __all__ = [
     "check_base",
     "check_nonnegative",
     "digits_of",
-    "from_digits",
     "DigitStat",
     "digit_stat",
     "digit_stat_block",
@@ -61,15 +60,6 @@ def digits_of(n: int, base: int) -> list[int]:
         n, d = divmod(n, base)
         out.append(d)
     return out
-
-
-def from_digits(digits: list[int], base: int) -> int:
-    """Inverse of digits_of (least significant first)."""
-    base = check_base(base)
-    n = 0
-    for d in reversed(digits):
-        n = n * base + d
-    return n
 
 
 @dataclass(frozen=True)

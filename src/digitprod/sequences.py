@@ -50,8 +50,6 @@ __all__ = [
     "thue_morse_seq",
     "RecursionProfile",
     "recursion_profile",
-    "StrongMultReport",
-    "verify_strong_mult",
     "recursion_deviation",
 ]
 
@@ -304,17 +302,6 @@ def thue_morse_seq() -> DigitStatPower:
     return DigitStatPower(2, -1, DigitStat.count(1))
 
 
-@dataclass(frozen=True)
-class StrongMultReport:
-    passed: bool
-    checked: int
-    max_deviation: float
-    first_failure: tuple[int, int] | None  # (n, k), lexicographically first
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def recursion_deviation(
     u: np.ndarray, v, n_first: int
 ) -> tuple[float, tuple[int, int, float] | None]:
@@ -341,23 +328,6 @@ def recursion_deviation(
             if first is None or (n_bad, k) < first[:2]:
                 first = (n_bad, k, float(dev[bad[0]]))
     return max_dev, first
-
-
-def verify_strong_mult(seq: ExponentSeq, limit: int) -> StrongMultReport:
-    """Check u(0) = 1 and u(B*n + k) = u(n) * u(k) for all B*n + k <= limit.
-
-    A failing check is a report, not an error.
-    """
-    base = seq.base
-    if limit < base:
-        raise ValidationError(f"limit must be >= base, got {limit} < {base}")
-    u = seq.block(np.arange(limit + 1, dtype=np.int64))
-    dev0 = float(abs(u[0] - 1.0))
-    max_dev, first = recursion_deviation(u, u[:base], 0)
-    if dev0 > CHECK_TOL:
-        first = (0, 0, dev0)  # no (n, k) comes before u(0)
-    failure = first[:2] if first is not None else None
-    return StrongMultReport(failure is None, limit, max(dev0, max_dev), failure)
 
 
 @dataclass(frozen=True)
@@ -434,6 +404,19 @@ def _recursion_certified(seq: ExponentSeq, base: int, checked: int) -> bool:
     return checked >= base * (period + 1) + base - 1
 
 
+def _window_values(seq: ExponentSeq, limit: int) -> np.ndarray:
+    """u(0), ..., u(limit); ValidationError at the first value that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = seq.block(np.arange(limit + 1, dtype=np.int64))
+    not_finite = np.flatnonzero(~np.isfinite(u))
+    if not_finite.size:
+        n_bad = int(not_finite[0])
+        raise ValidationError(
+            f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
+        )
+    return u
+
+
 def recursion_profile(
     seq: ExponentSeq,
     limit: int | None = None,
@@ -444,29 +427,28 @@ def recursion_profile(
     ``base`` defaults to the sequence's own base but may differ (a sequence
     can satisfy the recursion in a higher base as well).  The checked window
     [0, limit] must reach base**2; ``None`` means max(4096, base*(base+1)),
-    which every base accepts.  Raises
+    which every base accepts.  The seed n0 is the first n in [B, 65*B] with
+    u(n) != 0 whose multiples B*n0 + k, k < B, the window holds; a default
+    window grows to B*n0 + B - 1 when a later seed needs it.  Raises
     ValidationError when a value in the window is not finite, NoNonzeroSeed
     when every candidate seed value vanishes, HypothesisFailed when the
     recursion breaks, and ConvergenceHypothesisViolated when |sum v(k)| >= base.
     The returned ``certified`` flag costs no sequence values beyond the window.
     """
     b = check_base(base if base is not None else seq.base)
-    limit = max(4096, b * (b + 1)) if limit is None else int(limit)
-    if limit < b * b:
-        raise ValidationError(f"limit must be >= base**2, got {limit} < {b * b}")
-    # reading v(0..B-1) off a seed n0 >= B needs values up to B*n0 + B - 1
-    limit = max(limit, b * (b + 1))
+    hi = b + 64 * b  # the last seed candidate
+    if limit is None:
+        # max(4096, B*(B+1)) >= 65*B for every B, so it holds each candidate
+        limit = max(4096, b * (b + 1))
+    else:
+        limit = int(limit)
+        if limit < b * b:
+            raise ValidationError(f"limit must be >= base**2, got {limit} < {b * b}")
+        # reading v(0..B-1) off a seed n0 >= B needs values up to B*n0 + B - 1
+        limit = max(limit, b * (b + 1))
+        hi = min((limit - b + 1) // b, hi)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = seq.block(np.arange(limit + 1, dtype=np.int64))
-    not_finite = np.flatnonzero(~np.isfinite(u))
-    if not_finite.size:
-        n_bad = int(not_finite[0])
-        raise ValidationError(
-            f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
-        )
-
-    hi = min((limit - b + 1) // b, b + 64 * b)
+    u = _window_values(seq, limit)
     n0 = None
     for cand in range(b, hi + 1):
         if abs(u[cand]) > CHECK_TOL:
@@ -477,6 +459,9 @@ def recursion_profile(
             f"no nonzero value in seed window [{b}, {hi}] "
             "(sequence may be 1, 0, 0, ... or the window too short)"
         )
+    if b * n0 + b - 1 > limit:  # only a default window: grow it to the seed's
+        limit = b * n0 + b - 1
+        u = _window_values(seq, limit)
 
     v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
 

@@ -6,7 +6,10 @@ The recursive evaluator peels base-B digits using the identity
 
 where S is the full sum of the recursion multipliers v(k) and G(b) their
 partial sum below b.  F(B) and u(0) come from direct evaluation since the
-recursion constrains only n >= 1.  Cost is O(log^2 N).
+recursion constrains only n >= 1.  The pass down the digits of N makes one
+divmod per digit and one value(M) call per nonzero digit: G(0) = 0, so a zero
+digit needs no u(M), and N = B**j needs none at all.  Each value(M) call
+reads the digits of M, so the cost is O(log^2 N) at most.
 """
 
 from __future__ import annotations
@@ -62,15 +65,22 @@ def partial_sum_recursive(
     fb = complex(sum(seq.value(k) for k in range(b)))
     s_total = profile.v_total
     g = profile.v_prefix
-    # the digit prefixes n, n // B, ... down to the first one below B,
-    # unwound from the shortest: no recursion depth grows with the digits
-    prefixes = [n]
-    while prefixes[-1] >= b:
-        prefixes.append(prefixes[-1] // b)
-    f = complex(sum(seq.value(i) for i in range(prefixes.pop())))
-    for m in reversed(prefixes):
-        mq, r = divmod(m, b)
-        f = fb + (f - u0) * s_total + seq.value(mq) * g[r]
+    # the digit prefixes n // B, n // B**2, ... down to the first one below
+    # B, each with the digit it drops, one divmod each; unwound from the
+    # shortest, so no recursion depth grows with the digits
+    levels = []
+    m = n
+    while m >= b:
+        m, r = divmod(m, b)
+        levels.append((m, r))
+    f = complex(sum(seq.value(i) for i in range(m)))
+    for m, r in reversed(levels):
+        f = fb + (f - u0) * s_total
+        # G(0) = 0, so a zero digit adds no u(M) term.  F(B), a sum from
+        # +0.0, has no -0.0 part, nor has f here, so adding the term's zeros
+        # for a finite u(M) would change no bit
+        if r:
+            f += seq.value(m) * g[r]
     return f
 
 

@@ -5,7 +5,8 @@ q3 - q1; otherwise the change is a "regression" when its median is worse
 than the parent's by more than the bound, "unresolved" when either side's
 spread is wider than the bound and some change run is no better than some
 parent run, and "within bound" else.  For a metric where higher is better,
-the signs flip.
+the signs flip.  main() refuses a claim that is no gated workload:metric of
+BENCHMARK.json, and fewer than two seeds, before it runs anything.
 """
 
 import importlib.util
@@ -99,3 +100,41 @@ def test_unresolved_unless_every_change_run_beats_every_parent_run():
 
 def test_regression_past_the_bound_is_reported_despite_the_spread():
     assert _verdict(LOWER, WIDE, [w + 0.4 for w in WIDE]) == "regression"
+
+
+class _Reached(Exception):
+    """Raised in place of the first tree copy: the arguments were accepted."""
+
+
+def _main_until_the_first_run(monkeypatch, tmp_path, *extra):
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(bench_pairs, "copy_trees", reached)
+    monkeypatch.setattr(bench_pairs, "run_once", reached)
+    bench_pairs.main(["--workdir", str(tmp_path), "--out", str(tmp_path / "bench.json"),
+                      *extra])
+
+
+@pytest.mark.parametrize("extra", [
+    ["--claim", "no_such_workload:wall_s"],
+    ["--claim", "partial_sums:no_such_metric"],
+    ["--claim", "partial_sums:sequences.value_calls"],  # traced, not gated
+    ["--claim", "partial_sums"],
+    ["--seeds", "81"],
+    ["--seeds", "81-81"],
+])
+def test_bad_claim_or_too_few_seeds_fail_before_any_run(monkeypatch, tmp_path, extra):
+    with pytest.raises(SystemExit) as exc:
+        _main_until_the_first_run(monkeypatch, tmp_path, *extra)
+    assert exc.value.code == 2
+    assert not (tmp_path / "bench.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--claim", "partial_sums:wall_s", "--seeds", "81,82"],
+    ["--claim", "catalog_1e6:accuracy_digits"],
+])
+def test_declared_claim_and_two_seeds_reach_the_runs(monkeypatch, tmp_path, extra):
+    with pytest.raises(_Reached):
+        _main_until_the_first_run(monkeypatch, tmp_path, *extra)

@@ -422,6 +422,20 @@ def test_cli_summatory_beyond_float_range(capsys):
     assert float(ratio) == pytest.approx(math.exp(-0.5 * math.log(999**133)))
 
 
+@pytest.mark.parametrize("base", [10, 63, 100])
+def test_cli_summatory_seed_at_twice_the_base(capsys, base):
+    # no n in [B, 2B) avoids digit 1, so the seed is 2B; F(B**j) counts the
+    # n < B**j without a digit 1: (B - 1)**j
+    code, out = run(capsys, ["summatory", "--spec",
+                             f"base={base}; exponent=count_digit_pow(0,1)",
+                             "--terms", str(base**4)])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [base**j for j in range(1, 5)]
+    assert [(float(row[1]), float(row[2])) for row in rows] == [
+        (float((base - 1)**j), 0.0) for j in range(1, 5)]
+
+
 def test_cli_summatory_non_finite_partial_sum_exit_2(capsys):
     # F(100**j) = 95.2**j overflows a float from j = 156
     code, out = run(capsys, ["summatory", "--spec",

@@ -21,9 +21,9 @@ from digitprod.sequences import (
     SignedResidue,
     StronglyMultiplicative,
     _int_power_table,
+    recursion_deviation,
     recursion_profile,
     thue_morse_seq,
-    verify_strong_mult,
 )
 
 TOL = 1e-12
@@ -244,16 +244,24 @@ def test_power_table_shared_by_threads():
     assert errors == []
 
 
-def test_verify_strong_mult():
-    ok = verify_strong_mult(DigitStatPower(3, 0.5, DigitStat.digit_sum()), 1000)
-    assert ok.passed
+def _strong_mult_failure(seq, limit):
+    """First (n, k) where u(0) = 1 or u(B*n + k) = u(n) * u(k) fails, B*n + k <= limit."""
+    u = seq.block(np.arange(limit + 1, dtype=np.int64))
+    if abs(u[0] - 1.0) > TOL:
+        return (0, 0)  # no (n, k) comes before u(0)
+    _, first = recursion_deviation(u, u[:seq.base], 0)
+    return None if first is None else first[:2]
 
-    bad = verify_strong_mult(DigitStatPower(3, 0.5, DigitStat.count(0)), 1000)
-    assert not bad.passed
-    assert bad.first_failure == (1, 0)  # u(3) = z but u(1)*u(0) = 1
+
+def test_strong_mult_by_recursion_deviation():
+    assert _strong_mult_failure(DigitStatPower(3, 0.5, DigitStat.digit_sum()), 1000) is None
+
+    bad = _strong_mult_failure(DigitStatPower(3, 0.5, DigitStat.count(0)), 1000)
+    assert bad == (1, 0)  # u(3) = z but u(1)*u(0) = 1
 
     table = StronglyMultiplicative(4, (0.5, -0.5j, 1.0))
-    assert verify_strong_mult(table, 1000).passed
+    assert _strong_mult_failure(table, 1000) is None
+    assert _strong_mult_failure(SignedResidue(2, (-1.0, 1.0)), 1000) == (0, 0)
 
 
 def test_profile_zero_count():
@@ -290,6 +298,44 @@ def test_profile_no_seed():
     silent = StronglyMultiplicative(3, (0.0, 0.0))
     with pytest.raises(NoNonzeroSeed):
         recursion_profile(silent, 4096)
+
+
+@pytest.mark.parametrize("base", [63, 100])
+def test_default_window_grows_to_a_seed_at_twice_the_base(base):
+    # u(n) = 0 wherever digit 1 occurs, so u(B .. 2B - 1) = 0 and n0 = 2B,
+    # whose multiples B*n0 + k lie past max(4096, B*(B+1))
+    seq = DigitStatPower(base, 0, DigitStat.count(1))
+    prof = recursion_profile(seq)
+    assert prof.n0 == 2 * base
+    assert prof.checked == base * prof.n0 + base - 1
+    assert prof.v == tuple(complex(k != 1) for k in range(base))
+    assert prof.certified and prof.u_bounded
+    # an explicit window is searched only as far as it holds B*n0 + B - 1:
+    # the former default one still finds no seed
+    old_default = max(4096, base * (base + 1))
+    hi = (old_default - base + 1) // base
+    with pytest.raises(NoNonzeroSeed, match=rf"seed window \[{base}, {hi}\]"):
+        recursion_profile(seq, old_default)
+    assert recursion_profile(seq, prof.checked) == prof
+
+
+def test_default_window_reaches_65_times_the_base():
+    # the only nonzero seed candidate is the last one, 65*B
+    base = 100
+    seq = DigitStatPower(base, 0, DigitStat.count_set(range(1, 65)))
+    prof = recursion_profile(seq)
+    assert prof.n0 == 65 * base
+    assert prof.checked == base * prof.n0 + base - 1
+    beyond = DigitStatPower(base, 0, DigitStat.count_set(range(1, 66)))
+    with pytest.raises(NoNonzeroSeed, match=r"seed window \[100, 6500\]"):
+        recursion_profile(beyond)
+
+
+def test_default_window_unchanged_for_a_seed_inside_it():
+    seq = DigitStatPower(10, 0, DigitStat.count(1))
+    prof = recursion_profile(seq)
+    assert (prof.n0, prof.checked) == (20, 4096)
+    assert recursion_profile(seq, 4096) == prof
 
 
 def test_profile_hypothesis_failure():

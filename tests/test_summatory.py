@@ -84,6 +84,77 @@ def test_decomposition_identity(rng):
             assert abs(lhs - rhs) <= 1e-10
 
 
+def _level_loop_with_zero_terms(profile, seq, n):
+    """The level loop before zero digits were skipped: a // pass for the digit
+    prefixes, then a divmod and a u(M) * G(r) term at every level, G(0) = 0
+    included."""
+    b = profile.base
+    u0 = seq.value(0)
+    fb = complex(sum(seq.value(k) for k in range(b)))
+    prefixes = [n]
+    while prefixes[-1] >= b:
+        prefixes.append(prefixes[-1] // b)
+    f = complex(sum(seq.value(i) for i in range(prefixes.pop())))
+    for m in reversed(prefixes):
+        mq, r = divmod(m, b)
+        f = fb + (f - u0) * profile.v_total + seq.value(mq) * profile.v_prefix[r]
+    return f
+
+
+# (sequence, recursion base): Thue-Morse in bases 2 and 4, then one sequence
+# of each other family
+_LEVEL_CASES = [
+    (thue_morse_seq(), 2),
+    (thue_morse_seq(), 4),
+    (DigitStatPower(3, 0.6 + 0.3j, DigitStat.digit_sum()), 3),
+    (PeriodicPower(5, 4, 1), 5),
+    (StronglyMultiplicative(4, (0.3, -0.4, 0.9j)), 4),
+]
+_LEVEL_IDS = ["thue_morse_b2", "thue_morse_b4", "digit_sum_b3", "periodic_b5", "table_b4"]
+
+
+@pytest.mark.parametrize("seq, base", _LEVEL_CASES, ids=_LEVEL_IDS)
+def test_recursive_bits_match_the_loop_with_zero_terms(seq, base, rng):
+    # compared by repr, so a -0.0 where the loop had 0.0 would count
+    prof = recursion_profile(seq, base=base)
+    b = prof.base
+    ns = [b**j for j in (1, 2, 5, 17, 40)]
+    ns += [b**5 + 1, b**6 + b**2, (b - 1) * b**7 + b**3 + (b - 1)]  # interior zeros
+    ns += list(range(b))
+    ns += [int(rng.integers(1, 2**53 // b)) for _ in range(20)]
+    for n in ns:
+        assert repr(partial_sum_recursive(prof, seq, n)) == repr(
+            _level_loop_with_zero_terms(prof, seq, n)), n
+
+
+class _CountingSeq:
+    """Wraps a sequence and counts its value() calls."""
+
+    def __init__(self, seq):
+        self.seq, self.base, self.calls = seq, seq.base, 0
+
+    def value(self, n):
+        self.calls += 1
+        return self.seq.value(n)
+
+
+@pytest.mark.parametrize("seq, base", _LEVEL_CASES, ids=_LEVEL_IDS)
+def test_powers_of_the_base_make_no_level_value_calls(seq, base):
+    # every digit of B**j below the leading one is 0, so the level loop
+    # reads no u(M): F(B), u(0), the spot checks and the base case are all
+    prof = recursion_profile(seq, base=base)
+    calls = []
+    for j in (5, 40):
+        counted = _CountingSeq(seq)
+        partial_sum_recursive(prof, counted, prof.base**j)
+        calls.append(counted.calls)
+    assert calls[0] == calls[1]
+    # one nonzero digit more costs one value() call more
+    counted = _CountingSeq(seq)
+    partial_sum_recursive(prof, counted, prof.base**40 + prof.base**20)
+    assert counted.calls == calls[1] + 1
+
+
 def test_profile_mismatch_detected():
     tm = thue_morse_seq()
     good = recursion_profile(tm, 4096)

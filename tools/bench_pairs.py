@@ -137,6 +137,15 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
+    # checked before any run: the quartiles need two runs per side, and the
+    # claim's verdict is read from the gated metrics of a declared workload
+    if len(seeds) < 2:
+        ap.error(f"--seeds needs at least 2 seeds, got {args.seeds!r}")
+    if args.claim:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        if claim_workload not in workloads or claim_metric not in gated:
+            ap.error(f"--claim {args.claim!r} is not a workload:metric of BENCHMARK.json "
+                     f"(workloads {', '.join(workloads)}; metrics {', '.join(gated)})")
     trees = copy_trees(args.parent, Path(args.workdir).resolve())
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
@@ -197,9 +206,9 @@ def main(argv=None) -> int:
         "traced_split": traced,
     }
     if args.claim:
-        w, metric = args.claim.split(":")
-        out["claim"] = {"metric": metric, "workload": w,
-                        "verdict": end_to_end[w]["metrics"][metric]["verdict"]}
+        out["claim"] = {
+            "metric": claim_metric, "workload": claim_workload,
+            "verdict": end_to_end[claim_workload]["metrics"][claim_metric]["verdict"]}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
