@@ -49,8 +49,6 @@ from .products import (
     evaluate_direct,
     evaluate_moments,
     log_ratio_term,
-    residue_split_check,
-    telescoping_check,
 )
 from .sequences import (
     DigitStatPower,

@@ -198,6 +198,12 @@ def _parse_factors(text: str, position: int) -> list[Factor]:
 
 def parse_spec(text: str) -> ProductSpec | ExponentSeq:
     """Parse the key=value grammar into a ProductSpec (or a bare sequence)."""
+    return _parse_stated(text)[1]
+
+
+def _parse_stated(text: str) -> tuple[int, ProductSpec | ExponentSeq]:
+    """The spec's stated base and its parse: a bare ``thue_morse`` keeps
+    the base-2 sequence, so only the stated base says which base it is in."""
     fields: dict[str, tuple[str, int]] = {}
     offset = 0
     for segment in text.split(";"):
@@ -230,9 +236,9 @@ def parse_spec(text: str) -> ProductSpec | ExponentSeq:
     seq = _parse_exponent(fields["exponent"][0], base, fields["exponent"][1])
 
     if "factors" not in fields:
-        return seq
+        return base, seq
     factors = _parse_factors(*fields["factors"])
-    return ProductSpec(base, factors, seq)
+    return base, ProductSpec(base, factors, seq)
 
 
 def _render_exponent(seq: ExponentSeq) -> str:
@@ -240,12 +246,10 @@ def _render_exponent(seq: ExponentSeq) -> str:
         w = render_complex(seq.w)
         if seq.stat.kind == "digit_sum":
             return f"digit_sum_pow({w})"
-        if seq.stat.kind == "count":
-            js = sorted(seq.stat.digits)
-            if len(js) == 1:
-                return f"count_digit_pow({w},{js[0]})"
-            return f"count_set_pow({w},J={'|'.join(str(j) for j in js)})"
-        raise ValidationError(f"no grammar for statistic {seq.stat.kind!r}")
+        js = sorted(seq.stat.digits)
+        if len(js) == 1:
+            return f"count_digit_pow({w},{js[0]})"
+        return f"count_set_pow({w},J={'|'.join(str(j) for j in js)})"
     if isinstance(seq, PeriodicPower):
         return f"periodic_pow({seq.q},{seq.p})"
     if isinstance(seq, StronglyMultiplicative):
@@ -296,14 +300,18 @@ def _require_product(parsed) -> ProductSpec:
     return parsed
 
 
-def _spec_from_args(args) -> ProductSpec | ExponentSeq:
+def _spec_text(args) -> str:
     if args.spec and args.spec_file:
         raise ValidationError("give either --spec or --spec-file, not both")
     if args.spec:
-        return parse_spec(args.spec)
+        return args.spec
     if args.spec_file:
         with open(args.spec_file, "r", encoding="utf-8") as fh:
-            return parse_spec(fh.read().strip())
+            try:
+                return fh.read().strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"spec file {args.spec_file!r} is not UTF-8: {exc}") from None
     raise ValidationError("missing --spec or --spec-file")
 
 
@@ -311,7 +319,7 @@ def _spec_from_args(args) -> ProductSpec | ExponentSeq:
 # subcommand handlers
 
 def _cmd_eval(args) -> int:
-    spec = _require_product(_spec_from_args(args))
+    spec = _require_product(parse_spec(_spec_text(args)))
     threads = resolve_threads(args.threads)  # refused for every method
     if args.method == "naive":
         result = evaluate_direct(spec, args.terms, threads=threads)
@@ -377,9 +385,8 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_summatory(args) -> int:
-    parsed = _spec_from_args(args)
+    base, parsed = _parse_stated(_spec_text(args))
     seq = parsed.seq if isinstance(parsed, ProductSpec) else parsed
-    base = parsed.base if isinstance(parsed, ProductSpec) else seq.base
     check_nonnegative(args.terms)
     profile = recursion_profile(seq, base=base)
     rows = []

@@ -64,10 +64,10 @@ def digits_of(n: int, base: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DigitStat:
-    """A statistic of the digit string: a count, the digit sum, or the length.
+    """A statistic of the digit string: a count or the digit sum.
 
-    kind is one of "count" (occurrences of any digit in `digits`),
-    "digit_sum", or "length".
+    kind is one of "count" (occurrences of any digit in `digits`) or
+    "digit_sum".
     """
 
     kind: str
@@ -88,12 +88,8 @@ class DigitStat:
     def digit_sum() -> "DigitStat":
         return DigitStat("digit_sum")
 
-    @staticmethod
-    def length() -> "DigitStat":
-        return DigitStat("length")
-
     def check_for_base(self, base: int) -> None:
-        if self.kind not in ("count", "digit_sum", "length"):
+        if self.kind not in ("count", "digit_sum"):
             raise ValidationError(f"unknown digit statistic {self.kind!r}")
         if self.kind == "count":
             bad = [j for j in self.digits if not 0 <= j < base]
@@ -118,15 +114,13 @@ def digit_stat(n: int, stat: DigitStat, base: int) -> int:
 def _digit_weight(stat: DigitStat, base: int) -> Callable[[np.ndarray], np.ndarray]:
     """The function from an int64 array of base-B digits to what each adds to stat.
 
-    1 per digit in a count's set, the digit for the digit sum, 1 for the length.
+    1 per digit in a count's set, the digit for the digit sum.
     """
     if stat.kind == "count":
         member = np.zeros(base, dtype=bool)
         member[list(stat.digits)] = True
         return member.__getitem__
-    if stat.kind == "digit_sum":
-        return lambda d: d
-    return np.ones_like
+    return lambda d: d
 
 
 def _per_digit_stats(ns: np.ndarray, stat: DigitStat, base: int) -> np.ndarray:
@@ -183,11 +177,7 @@ def _stat_record(stat: DigitStat, base: int) -> _StatRecord:
     """
     stat.check_for_base(base)
     if base > _TABLE_LIMIT:
-        weight = {
-            "count": stat.digits.__contains__,
-            "digit_sum": lambda d: d,
-            "length": lambda d: 1,
-        }[stat.kind]
+        weight = stat.digits.__contains__ if stat.kind == "count" else (lambda d: d)
 
         def count_digits(n: int) -> int:
             out = 0

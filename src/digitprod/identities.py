@@ -37,7 +37,7 @@ from .products import (
     map_ordered,
     resolve_threads,
 )
-from .sequences import DigitStatPower, PeriodicPower, thue_morse_seq
+from .sequences import DigitStatPower, ExponentSeq, PeriodicPower, thue_morse_seq
 
 __all__ = [
     "ClosedForm",
@@ -139,20 +139,14 @@ def _unity_root(q: int, p: int = 1) -> complex:
     return cmath.exp(2j * cmath.pi * p / q)
 
 
-def _roots_spec(base: int, q: int, p: int = 1) -> ProductSpec:
-    omega = _unity_root(q, p)
+def _roots_spec(seq: ExponentSeq, q: int) -> ProductSpec:
+    """Factors k: 1 - omega**k, omega = exp(2*pi*i/q), over the residues
+    0 < k < B that q does not divide, for a sequence of base B."""
+    omega = _unity_root(q)
     factors = [
-        Factor(k, 1 - omega**k) for k in range(1, base) if k % q != 0
+        Factor(k, 1 - omega**k) for k in range(1, seq.base) if k % q != 0
     ]
-    return ProductSpec(base, factors, PeriodicPower(base, q, p))
-
-
-def _digit_sum_root_spec(base: int, q: int, p: int = 1) -> ProductSpec:
-    omega = _unity_root(q, p)
-    factors = [
-        Factor(k, 1 - omega**k) for k in range(1, base) if k % q != 0
-    ]
-    return ProductSpec(base, factors, DigitStatPower(base, omega, DigitStat.digit_sum()))
+    return ProductSpec(seq.base, factors, seq)
 
 
 def _count_root_spec(base: int, digits, q: int, p: int = 1) -> ProductSpec:
@@ -225,7 +219,7 @@ def catalog() -> list[IdentityClaim]:
     )
 
     # roots of unity with base = 1 mod q, and the squared (sigma) forms
-    r5 = _roots_spec(5, 4)
+    r5 = _roots_spec(PeriodicPower(5, 4, 1), 4)
     add(
         "roots_unity_sin_b5",
         [Part(r5, 0.5, "real")],
@@ -268,7 +262,7 @@ def catalog() -> list[IdentityClaim]:
     )
 
     # digit-sum roots of unity (base 2, q = 4) and the squared sigma forms
-    ds2 = _digit_sum_root_spec(2, 4)
+    ds2 = _roots_spec(DigitStatPower(2, _unity_root(4), DigitStat.digit_sum()), 4)
     add(
         "sin_digit_sum_b2",
         [Part(ds2, 0.5, "real")],
@@ -295,7 +289,7 @@ def catalog() -> list[IdentityClaim]:
     )
 
     # base-3 third roots of the digit sum: the 1/-2 pattern exponent
-    ds3 = _digit_sum_root_spec(3, 3)
+    ds3 = _roots_spec(DigitStatPower(3, _unity_root(3), DigitStat.digit_sum()), 3)
     add(
         "theta_digit_sum_b3",
         [Part(ds3, 1.0, "real"), Part(ds3, 1.0 / sqrt3, "imag")],

@@ -39,8 +39,6 @@ from digitprod.products import (
     Factor,
     ProductSpec,
     evaluate_abel,
-    residue_split_check,
-    telescoping_check,
 )
 from digitprod.sequences import (
     DigitStatPower,
@@ -51,6 +49,7 @@ from digitprod.sequences import (
     thue_morse_seq,
 )
 from digitprod.summatory import partial_sum_direct, partial_sum_recursive
+from trick_checks import residue_split_check, telescoping_check
 
 TERMS = 10**7
 

@@ -453,6 +453,20 @@ def test_cli_summatory_negative_terms_exit_2(capsys, output):
     assert out == ""
 
 
+@pytest.mark.parametrize("factors", ["", "; factors=1"])
+def test_cli_summatory_bare_thue_morse_takes_the_stated_base(capsys, factors):
+    # Thue-Morse keeps a digit recursion in base 4 = 2**2, and none in base 3
+    code, out = run(capsys, ["summatory", "--spec", f"base=4; exponent=thue_morse{factors}",
+                             "--terms", "100"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [4, 16, 64]
+    code, out = run(capsys, ["summatory", "--spec", f"base=3; exponent=thue_morse{factors}",
+                             "--terms", "100"])
+    assert code == 3
+    assert out == ""
+
+
 def test_cli_eval_abstract_example_base_3(capsys):
     # prod ((3n+1)/(3n+2))**((-1)**N_1(n)) = 1/sqrt(3), N_1 the count of 1s
     spec = "base=3; exponent=count_digit_pow(-1,1); factors=1:1"
@@ -578,3 +592,14 @@ def test_cli_spec_file(tmp_path, capsys):
     code, out = run(capsys, ["eval", "--spec-file", str(path), "--terms", "10000"])
     assert code == 0
     assert json.loads(out)["value_re"] == pytest.approx(2**-0.5, rel=1e-3)
+
+
+@pytest.mark.parametrize("command", ["eval", "summatory"])
+def test_cli_spec_file_not_utf8_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "spec.txt"
+    path.write_bytes(b"\xff\xfe bad")
+    code = main([command, "--spec-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "UTF-8" in captured.err

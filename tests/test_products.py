@@ -16,9 +16,7 @@ from digitprod.products import (
     evaluate_abel,
     evaluate_direct,
     log_ratio_term,
-    residue_split_check,
     resolve_threads,
-    telescoping_check,
 )
 from digitprod.sequences import (
     DigitStatPower,
@@ -27,6 +25,7 @@ from digitprod.sequences import (
     StronglyMultiplicative,
     thue_morse_seq,
 )
+from trick_checks import residue_split_check, telescoping_check
 
 SQRT2_INV = 2**-0.5
 
