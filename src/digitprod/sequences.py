@@ -20,7 +20,8 @@ recursion u(B*n + k) = u(n) * v(k) for n >= 1, verifies it on a range, and
 derives the partial sums of v and the growth exponent used by the tail
 models downstream.  It also certifies, from the sequence's type and
 parameters alone, whether the checked range proves the recursion for every
-n >= 1 (``RecursionProfile.certified``).
+n >= 1 (``RecursionProfile.certified``); by default it checks only the
+window that does.
 """
 
 from __future__ import annotations
@@ -385,23 +386,31 @@ class RecursionProfile:
             ))
 
 
-def _recursion_certified(seq: ExponentSeq, base: int, checked: int) -> bool:
-    """Whether the recursion, verified on [0, checked], holds for every n >= 1.
+def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
+    """W such that the recursion checked on [0, W] or more holds for every n >= 1.
 
     Digit families: when B = b**j for the sequence's base b, the low j base-b
     digits of B*n + k are those of k, so u(B*n + k) = u(n) * u(k) for a
     strongly multiplicative u, and every digit statistic is additive over
-    digit levels.  Periodic families: u(B*n + k) and u(n) * v(k) both have
-    the sequence's period in n, so a window holding n = 1 .. period + 1 for
-    every k decides all n.
+    digit levels; the type alone proves the recursion, so W = 0.  In any
+    other base it proves nothing: None.  Periodic families: u(B*n + k) and
+    u(n) * v(k) both have the sequence's period in n, so a window holding
+    n = 1 .. period + 1 for every k decides all n: W = B*(period + 1) + B - 1.
     """
     if isinstance(seq, (StronglyMultiplicative, DigitStatPower)):
         power = seq.base
         while power < base:
             power *= seq.base
-        return power == base
+        return 0 if power == base else None
     period = seq.q if isinstance(seq, PeriodicPower) else seq.period
-    return checked >= base * (period + 1) + base - 1
+    return base * (period + 1) + base - 1
+
+
+def _recursion_certified(seq: ExponentSeq, base: int, checked: int) -> bool:
+    """Whether the recursion, verified on [0, checked], holds for every n >= 1:
+    when the window holds the one ``_certifying_window`` names."""
+    window = _certifying_window(seq, base)
+    return window is not None and checked >= window
 
 
 def _window_values(seq: ExponentSeq, limit: int) -> np.ndarray:
@@ -417,6 +426,12 @@ def _window_values(seq: ExponentSeq, limit: int) -> np.ndarray:
     return u
 
 
+def _first_seed(u: np.ndarray, lo: int, hi: int) -> int | None:
+    """The first n in [lo, hi] with |u(n)| > CHECK_TOL, or None."""
+    hits = np.flatnonzero(np.abs(u[lo:hi + 1]) > CHECK_TOL)
+    return lo + int(hits[0]) if hits.size else None
+
+
 def recursion_profile(
     seq: ExponentSeq,
     limit: int | None = None,
@@ -426,20 +441,25 @@ def recursion_profile(
 
     ``base`` defaults to the sequence's own base but may differ (a sequence
     can satisfy the recursion in a higher base as well).  The checked window
-    [0, limit] must reach base**2; ``None`` means max(4096, base*(base+1)),
-    which every base accepts.  The seed n0 is the first n in [B, 65*B] with
-    u(n) != 0 whose multiples B*n0 + k, k < B, the window holds; a default
-    window grows to B*n0 + B - 1 when a later seed needs it.  Raises
-    ValidationError when a value in the window is not finite, NoNonzeroSeed
-    when every candidate seed value vanishes, HypothesisFailed when the
-    recursion breaks, and ConvergenceHypothesisViolated when |sum v(k)| >= base.
-    The returned ``certified`` flag costs no sequence values beyond the window.
+    [0, limit] must reach base**2.  The seed n0 is the first n in [B, 65*B]
+    with u(n) != 0 whose multiples B*n0 + k, k < B, the window holds.
+    ``None`` picks the window from one rule: the least one that certifies
+    the recursion (``_certifying_window``) and holds [0, B*(B+1)], when that
+    is no larger than max(4096, B*(B+1)); otherwise, when the type cannot
+    certify it there, max(4096, B*(B+1)) itself.  A default window searches
+    every candidate up to 65*B, past its own end when needed, and grows to
+    B*n0 + B - 1 when the seed needs it.  Raises ValidationError when a
+    value in the window is not finite, NoNonzeroSeed when every candidate
+    seed value vanishes, HypothesisFailed when the recursion breaks, and
+    ConvergenceHypothesisViolated when |sum v(k)| >= base.
     """
     b = check_base(base if base is not None else seq.base)
     hi = b + 64 * b  # the last seed candidate
     if limit is None:
-        # max(4096, B*(B+1)) >= 65*B for every B, so it holds each candidate
+        window = _certifying_window(seq, b)
         limit = max(4096, b * (b + 1))
+        if window is not None and window <= limit:
+            limit = max(window, b * (b + 1))
     else:
         limit = int(limit)
         if limit < b * b:
@@ -449,11 +469,9 @@ def recursion_profile(
         hi = min((limit - b + 1) // b, hi)
 
     u = _window_values(seq, limit)
-    n0 = None
-    for cand in range(b, hi + 1):
-        if abs(u[cand]) > CHECK_TOL:
-            n0 = cand
-            break
+    n0 = _first_seed(u, b, min(hi, limit))
+    if n0 is None and hi > limit:  # only a default window: search past its end
+        n0 = _first_seed(_window_values(seq, hi), limit + 1, hi)
     if n0 is None:
         raise NoNonzeroSeed(
             f"no nonzero value in seed window [{b}, {hi}] "

@@ -467,6 +467,21 @@ def test_cli_summatory_bare_thue_morse_takes_the_stated_base(capsys, factors):
     assert out == ""
 
 
+@pytest.mark.parametrize("exponent, message", [
+    ("base=5; exponent=periodic_pow(3,1)", "digit recursion fails at n=1, k=0 (deviation 1.732e+00)"),
+    ("base=3; exponent=thue_morse", "digit recursion fails at n=1, k=0 (deviation 2.000e+00)"),
+    ("base=2; exponent=digit_sum_pow(0)", "no nonzero value in seed window [2, 130]"),
+])
+def test_cli_sequences_without_a_usable_recursion_exit_3(capsys, exponent, message):
+    for argv in (["eval", "--method", "moments", "--spec", f"{exponent}; factors=1",
+                  "--terms", "1000"],
+                 ["summatory", "--spec", exponent, "--terms", "1000"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+
 def test_cli_eval_abstract_example_base_3(capsys):
     # prod ((3n+1)/(3n+2))**((-1)**N_1(n)) = 1/sqrt(3), N_1 the count of 1s
     spec = "base=3; exponent=count_digit_pow(-1,1); factors=1:1"

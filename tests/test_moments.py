@@ -218,7 +218,9 @@ def test_periodic_families_certified_over_one_period():
 def test_window_passing_periodic_spec_is_refused():
     seq = _tm_repeating(8192)
     profile = recursion_profile(seq, base=2)  # the 4096-value window passes
-    assert not profile.certified
+    # a period-8192 window, 2*8193 + 1, exceeds max(4096, B*(B+1)), so the
+    # default window stays that one
+    assert (profile.checked, profile.certified) == (4096, False)
     with pytest.raises(HypothesisFailed):
         recursion_profile(seq, limit=3 * 8192, base=2)  # it breaks beyond
     spec = ProductSpec(2, [Factor(1, 1.0)], seq)

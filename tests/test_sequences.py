@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import re
 import sys
 import threading
 import warnings
@@ -15,6 +17,7 @@ from digitprod.errors import (
     NoNonzeroSeed,
     ValidationError,
 )
+from digitprod.identities import catalog
 from digitprod.sequences import (
     DigitStatPower,
     PeriodicPower,
@@ -331,11 +334,70 @@ def test_default_window_reaches_65_times_the_base():
         recursion_profile(beyond)
 
 
-def test_default_window_unchanged_for_a_seed_inside_it():
+def _old_default_window(seq, base, n0):
+    """The profile at max(4096, B*(B+1), B*n0 + B - 1), the default window of
+    every sequence before the certifying window became the default."""
+    return recursion_profile(seq, max(4096, base * (base + 1), base * n0 + base - 1),
+                             base=base)
+
+
+def test_default_window_certifies_a_seed_inside_it():
+    # n0 = 20 lies inside [0, B*(B+1)]; the window grows to its multiples only
     seq = DigitStatPower(10, 0, DigitStat.count(1))
     prof = recursion_profile(seq)
-    assert (prof.n0, prof.checked) == (20, 4096)
-    assert recursion_profile(seq, 4096) == prof
+    assert (prof.n0, prof.checked) == (20, 209)
+    old = _old_default_window(seq, 10, prof.n0)
+    assert dataclasses.replace(prof, checked=old.checked) == old
+
+
+def _catalog_profiles():
+    # PeriodicPower(5, 4, 1) in base 5 is among them, as i_pow_n_b5
+    seen = {}
+    for claim in catalog():
+        for part in claim.parts:
+            seen.setdefault((part.spec.seq, part.spec.base), claim.name)
+    return seen
+
+
+_WINDOW_CASES = {
+    **_catalog_profiles(),
+    (thue_morse_seq(), 4): "thue_morse_b4",
+    (thue_morse_seq(), 8): "thue_morse_b8",
+    (DigitStatPower(63, 0, DigitStat.count(1)), 63): "seed_at_2B_b63",
+}
+
+
+@pytest.mark.parametrize("seq, base", list(_WINDOW_CASES), ids=list(_WINDOW_CASES.values()))
+def test_certifying_window_changes_nothing_else(seq, base):
+    prof = recursion_profile(seq, base=base)
+    old = _old_default_window(seq, base, prof.n0)
+    assert prof.certified
+    assert dataclasses.replace(prof, checked=old.checked) == old
+    assert prof.checked <= old.checked
+
+
+def test_uncertifiable_sequences_keep_the_old_window_and_errors():
+    # a periodic recursion that fails does so at n <= period, inside its
+    # certifying window; thue_morse has none in base 3 and keeps the old one
+    for seq, base, deviation in ((PeriodicPower(5, 3, 1), 5, "1.732e+00"),
+                                 (thue_morse_seq(), 3, "2.000e+00")):
+        message = f"digit recursion fails at n=1, k=0 (deviation {deviation})"
+        with pytest.raises(HypothesisFailed, match=re.escape(message)):
+            recursion_profile(seq, base=base)
+    with pytest.raises(NoNonzeroSeed, match=r"seed window \[2, 130\]"):
+        recursion_profile(DigitStatPower(2, 0, DigitStat.digit_sum()))
+
+
+def test_default_window_checks_finiteness_only_inside_it():
+    # w**count overflows at n = 2**11 - 1: past the certifying window [0, 6],
+    # which leaves the divergence of sum v = 1 + w as the refusal
+    seq = DigitStatPower(2, 1e30, DigitStat.count(1))
+    with pytest.raises(ValidationError, match="n=2047 is not finite"):
+        recursion_profile(seq, 4096)
+    with pytest.raises(ConvergenceHypothesisViolated):
+        recursion_profile(seq)
+    with pytest.raises(ValidationError, match="n=3 is not finite"):
+        recursion_profile(DigitStatPower(2, 1e200, DigitStat.count(1)))
 
 
 def test_profile_hypothesis_failure():
