@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import log
+from math import inf, log
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "thue_morse_seq",
     "RecursionProfile",
     "recursion_profile",
+    "recursion_breaks",
     "recursion_deviation",
 ]
 
@@ -145,12 +146,14 @@ class StronglyMultiplicative:
             return out
         # the complex product spelled out in float64 ops, as value() and
         # Python's complex product compute it: numpy's complex multiply may
-        # fuse them (FMA) and round differently
+        # fuse them (FMA) and round differently.  Digits 0 are skipped, as in
+        # value(): a factor 1 can still flip a zero's sign or an inf to nan
         tr, ti = self._table.real, self._table.imag
         re, im = np.ones(x.shape), np.zeros(x.shape)
         while (x > 0).any():
             d = x % self.base
-            re, im = re * tr[d] - im * ti[d], re * ti[d] + im * tr[d]
+            re, im = (np.where(d > 0, re * tr[d] - im * ti[d], re),
+                      np.where(d > 0, re * ti[d] + im * tr[d], im))
             x //= self.base
         out = np.empty(x.shape, dtype=np.complex128)
         out.real, out.imag = re, im
@@ -303,6 +306,13 @@ def thue_morse_seq() -> DigitStatPower:
     return DigitStatPower(2, -1, DigitStat.count(1))
 
 
+def recursion_breaks(dev, size):
+    """Whether |u(B*n + k) - u(n) * v(k)| = dev breaks the digit recursion at
+    |u(n) * v(k)| = size, for floats or arrays: it must stay within
+    CHECK_TOL * max(1, size), and an overflowing product (dev = inf) breaks it."""
+    return (dev > CHECK_TOL) & ((dev > CHECK_TOL * size) | (dev == inf))
+
+
 def recursion_deviation(
     u: np.ndarray, v, n_first: int
 ) -> tuple[float, tuple[int, int, float] | None]:
@@ -310,24 +320,27 @@ def recursion_deviation(
 
     ``u`` holds u(0), u(1), ... and ``v`` the B = len(v) multipliers.
     Returns the largest deviation (0.0 when no index fits) and the
-    lexicographically first (n, k, deviation) above CHECK_TOL, or None.
+    lexicographically first (n, k, deviation) that breaks the recursion, or None.
     """
     base = len(v)
     ns = np.arange(n_first, (len(u) - 1) // base + 1, dtype=np.int64)
     max_dev = 0.0
     first: tuple[int, int, float] | None = None
-    for k in range(base):
-        idx = base * ns + k
-        sel = idx < len(u)
-        dev = np.abs(u[idx[sel]] - u[ns[sel]] * v[k])
-        if dev.size == 0:
-            continue
-        max_dev = max(max_dev, float(dev.max()))
-        bad = np.nonzero(dev > CHECK_TOL)[0]
-        if bad.size:
-            n_bad = int(ns[sel][bad[0]])
-            if first is None or (n_bad, k) < first[:2]:
-                first = (n_bad, k, float(dev[bad[0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(base):
+            idx = base * ns + k
+            sel = idx < len(u)
+            predicted = u[ns[sel]] * v[k]
+            dev = np.abs(u[idx[sel]] - predicted)
+            top = float(dev.max(initial=0.0))
+            max_dev = max(max_dev, top)
+            if top <= CHECK_TOL:  # within every bound: nothing breaks
+                continue
+            bad = np.flatnonzero(recursion_breaks(dev, np.abs(predicted)))
+            if bad.size:
+                n_bad = int(ns[sel][bad[0]])
+                if first is None or (n_bad, k) < first[:2]:
+                    first = (n_bad, k, float(dev[bad[0]]))
     return max_dev, first
 
 
@@ -406,13 +419,6 @@ def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
     return base * (period + 1) + base - 1
 
 
-def _recursion_certified(seq: ExponentSeq, base: int, checked: int) -> bool:
-    """Whether the recursion, verified on [0, checked], holds for every n >= 1:
-    when the window holds the one ``_certifying_window`` names."""
-    window = _certifying_window(seq, base)
-    return window is not None and checked >= window
-
-
 def _window_values(seq: ExponentSeq, limit: int) -> np.ndarray:
     """u(0), ..., u(limit); ValidationError at the first value that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,12 +432,6 @@ def _window_values(seq: ExponentSeq, limit: int) -> np.ndarray:
     return u
 
 
-def _first_seed(u: np.ndarray, lo: int, hi: int) -> int | None:
-    """The first n in [lo, hi] with |u(n)| > CHECK_TOL, or None."""
-    hits = np.flatnonzero(np.abs(u[lo:hi + 1]) > CHECK_TOL)
-    return lo + int(hits[0]) if hits.size else None
-
-
 def recursion_profile(
     seq: ExponentSeq,
     limit: int | None = None,
@@ -440,23 +440,23 @@ def recursion_profile(
     """Extract and verify the digit recursion profile of ``seq``.
 
     ``base`` defaults to the sequence's own base but may differ (a sequence
-    can satisfy the recursion in a higher base as well).  The checked window
-    [0, limit] must reach base**2.  The seed n0 is the first n in [B, 65*B]
-    with u(n) != 0 whose multiples B*n0 + k, k < B, the window holds.
-    ``None`` picks the window from one rule: the least one that certifies
-    the recursion (``_certifying_window``) and holds [0, B*(B+1)], when that
-    is no larger than max(4096, B*(B+1)); otherwise, when the type cannot
-    certify it there, max(4096, B*(B+1)) itself.  A default window searches
-    every candidate up to 65*B, past its own end when needed, and grows to
-    B*n0 + B - 1 when the seed needs it.  Raises ValidationError when a
-    value in the window is not finite, NoNonzeroSeed when every candidate
-    seed value vanishes, HypothesisFailed when the recursion breaks, and
+    can satisfy the recursion in a higher base as well).  An explicit window
+    [0, limit] must reach base**2.  ``None`` picks the least window that
+    certifies the recursion (``_certifying_window``) and holds [0, B*(B+1)];
+    max(4096, B*(B+1)) when that one is larger or the type certifies none.
+    The seed n0 is the first n in [B, 65*B] whose value(n) is not within
+    CHECK_TOL of 0 (one that is not finite counts) and, for an explicit
+    window, whose multiples B*n + k, k < B, it holds; a default one grows to
+    them.  The window's values are computed once: v(k) = u(B*n0 + k) / u(n0)
+    is read from them and the recursion checked on all of them.  Raises
+    ValidationError when one is not finite, else NoNonzeroSeed when no seed
+    is found, HypothesisFailed when the recursion breaks, and
     ConvergenceHypothesisViolated when |sum v(k)| >= base.
     """
     b = check_base(base if base is not None else seq.base)
     hi = b + 64 * b  # the last seed candidate
+    window = _certifying_window(seq, b)
     if limit is None:
-        window = _certifying_window(seq, b)
         limit = max(4096, b * (b + 1))
         if window is not None and window <= limit:
             limit = max(window, b * (b + 1))
@@ -468,20 +468,17 @@ def recursion_profile(
         limit = max(limit, b * (b + 1))
         hi = min((limit - b + 1) // b, hi)
 
-    u = _window_values(seq, limit)
-    n0 = _first_seed(u, b, min(hi, limit))
-    if n0 is None and hi > limit:  # only a default window: search past its end
-        n0 = _first_seed(_window_values(seq, hi), limit + 1, hi)
+    n0 = next((n for n in range(b, hi + 1) if not abs(seq.value(n)) <= CHECK_TOL), None)
     if n0 is None:
+        _window_values(seq, limit)  # a value that is not finite is reported first
         raise NoNonzeroSeed(
             f"no nonzero value in seed window [{b}, {hi}] "
             "(sequence may be 1, 0, 0, ... or the window too short)"
         )
-    if b * n0 + b - 1 > limit:  # only a default window: grow it to the seed's
-        limit = b * n0 + b - 1
-        u = _window_values(seq, limit)
-
-    v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
+    limit = max(limit, b * n0 + b - 1)  # grows only a default window
+    u = _window_values(seq, limit)
+    with np.errstate(over="ignore"):  # a v(k) that overflows reaches the checks as inf
+        v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
 
     _, first = recursion_deviation(u, v, 1)
     if first is not None:
@@ -493,7 +490,7 @@ def recursion_profile(
         n0=n0,
         u_bounded=bool(np.abs(u).max() <= 1.0 + CHECK_TOL),
         checked=limit,
-        certified=_recursion_certified(seq, b, limit),
+        certified=window is not None and limit >= window,
     )
     total = abs(profile.v_total)
     if total >= b - 1e-9:

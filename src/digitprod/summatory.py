@@ -5,11 +5,12 @@ The recursive evaluator peels base-B digits using the identity
     F(B*M + b) = F(B) + (F(M) - u(0)) * S + u(M) * G(b),
 
 where S is the full sum of the recursion multipliers v(k) and G(b) their
-partial sum below b.  F(B) and u(0) come from direct evaluation since the
-recursion constrains only n >= 1.  The pass down the digits of N makes one
-divmod per digit and one value(M) call per nonzero digit: G(0) = 0, so a zero
-digit needs no u(M), and N = B**j needs none at all.  Each value(M) call
-reads the digits of M, so the cost is O(log^2 N) at most.
+partial sum below b.  F(B), u(0) and the base case F(M), M < B, come from
+u(0), ..., u(B-1), read once per query: the recursion constrains only
+n >= 1.  The pass down the digits of N makes one divmod per digit and one
+value(M) call per nonzero digit: G(0) = 0, so a zero digit needs no u(M),
+and N = B**j needs none at all.  Each value(M) call reads the digits of M,
+so the cost is O(log^2 N) at most.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .digits import check_nonnegative
 from .errors import ProfileMismatch, ValidationError
 from .products import _BLOCK
-from .sequences import ExponentSeq, RecursionProfile
+from .sequences import ExponentSeq, RecursionProfile, recursion_breaks
 
 __all__ = [
     "partial_sum_direct",
@@ -47,8 +48,9 @@ def _spot_check(profile: RecursionProfile, seq: ExponentSeq, n: int) -> None:
     for m in {profile.n0, profile.n0 + 1, max(1, n // b), max(1, n // (b * b))}:
         um = seq.value(m)
         for k in (0, b - 1):
-            dev = abs(seq.value(b * m + k) - um * profile.v[k])
-            if dev > 1e-9:
+            predicted = um * profile.v[k]
+            dev = abs(seq.value(b * m + k) - predicted)
+            if recursion_breaks(dev, abs(predicted)):
                 raise ProfileMismatch(
                     f"recursion fails at n={m}, k={k} (deviation {dev:.3e})"
                 )
@@ -61,8 +63,8 @@ def partial_sum_recursive(
     n = check_nonnegative(n)
     b = profile.base
     _spot_check(profile, seq, n)
-    u0 = seq.value(0)
-    fb = complex(sum(seq.value(k) for k in range(b)))
+    head = [seq.value(k) for k in range(b)]  # u(0), ..., u(B-1)
+    fb = complex(sum(head))
     s_total = profile.v_total
     g = profile.v_prefix
     # the digit prefixes n // B, n // B**2, ... down to the first one below
@@ -73,9 +75,9 @@ def partial_sum_recursive(
     while m >= b:
         m, r = divmod(m, b)
         levels.append((m, r))
-    f = complex(sum(seq.value(i) for i in range(m)))
+    f = complex(sum(head[:m]))
     for m, r in reversed(levels):
-        f = fb + (f - u0) * s_total
+        f = fb + (f - head[0]) * s_total
         # G(0) = 0, so a zero digit adds no u(M) term.  F(B), a sum from
         # +0.0, has no -0.0 part, nor has f here, so adding the term's zeros
         # for a finite u(M) would change no bit

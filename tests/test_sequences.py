@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from digitprod import sequences
 from digitprod.digits import DigitStat, digits_of
 from digitprod.errors import (
     ConvergenceHypothesisViolated,
@@ -24,6 +25,7 @@ from digitprod.sequences import (
     SignedResidue,
     StronglyMultiplicative,
     _int_power_table,
+    recursion_breaks,
     recursion_deviation,
     recursion_profile,
     thue_morse_seq,
@@ -332,6 +334,79 @@ def test_default_window_reaches_65_times_the_base():
     beyond = DigitStatPower(base, 0, DigitStat.count_set(range(1, 66)))
     with pytest.raises(NoNonzeroSeed, match=r"seed window \[100, 6500\]"):
         recursion_profile(beyond)
+
+
+def test_seed_search_reports_a_value_that_is_not_finite_first():
+    # u(63 .. 125) = 0 (digit 1 present), u(126) = 1e200 and u(128) = inf: an
+    # explicit window searches [63, 78] and finds no seed, a default one
+    # finds n0 = 126; either way the window's value at n = 128 comes first
+    seq = StronglyMultiplicative(63, [0.0] + [1e200] * 61)
+    message = "sequence value at n=128 is not finite (u = inf)"
+    for limit in (5000, None):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            recursion_profile(seq, limit)
+
+
+_ONE_WINDOW_CASES = {
+    "default": (thue_morse_seq(), 2, None),
+    "default_uncertified": (thue_morse_seq(), 3, None),
+    "explicit": (PeriodicPower(5, 4, 1), 5, 4096),
+    "seed_at_2B": (DigitStatPower(63, 0, DigitStat.count(1)), 63, None),
+    "seed_at_65B": (DigitStatPower(100, 0, DigitStat.count_set(range(1, 65))), 100, None),
+}
+
+
+@pytest.mark.parametrize("seq, base, limit", list(_ONE_WINDOW_CASES.values()),
+                         ids=list(_ONE_WINDOW_CASES))
+def test_profile_computes_its_window_once(seq, base, limit, monkeypatch):
+    windows = []
+    window_values = sequences._window_values
+
+    def counted(seq, limit):
+        windows.append(limit)
+        return window_values(seq, limit)
+
+    monkeypatch.setattr(sequences, "_window_values", counted)
+    try:
+        prof = recursion_profile(seq, limit, base=base)
+    except HypothesisFailed:  # thue_morse in base 3 breaks, after its one window
+        prof = None
+    assert len(windows) == 1
+    assert prof is None or windows == [prof.checked]
+
+
+def test_recursion_rule_is_relative_above_modulus_one():
+    assert recursion_breaks(2e-12, 0.5) and recursion_breaks(2e-12, 1.0)
+    assert not recursion_breaks(2e-12, 1e4)
+    assert recursion_breaks(2e-8, 1e4)
+    assert recursion_breaks(float("inf"), float("inf"))  # an overflowing product
+    devs, sizes = np.array([2e-12, 2e-12, 2e-8]), np.array([1.0, 1e4, 1e4])
+    assert recursion_breaks(devs, sizes).tolist() == [True, False, True]
+    # |u| reaches 2.9**12 on [0, 4096]; u(2n + 1) and u(n) * v(1) round apart
+    # by 1.8e-12 at n = 255, 1.3e-16 of |u(n) * v(1)| = 2.9**9
+    prof = recursion_profile(StronglyMultiplicative(2, (-2.9,)), 4096)
+    assert not prof.u_bounded
+
+
+_COMPLEX_TABLES = [
+    (1j,),
+    (complex(-0.0, 0.0), -1j),
+    (1e200j, -1e200, complex(1e300, 1e300)),
+    (0.0, complex(-0.0, -0.0), 1e308j, 2j),
+]
+
+
+@pytest.mark.parametrize("values", _COMPLEX_TABLES, ids=range(len(_COMPLEX_TABLES)))
+def test_complex_table_block_matches_value_bit_for_bit(values):
+    # zero signs and inf/nan patterns included: block() multiplies by the
+    # digits value() does, whatever the other indices of the call
+    seq = StronglyMultiplicative(len(values) + 1, values)
+    assert not seq.is_real
+    sparse = np.array([4999, 0, 7, 4, 2**40 + 3, 10**15, 12345], dtype=np.int64)
+    for ns in (np.arange(8), np.arange(5000), sparse):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = seq.block(ns)
+        assert [repr(complex(x)) for x in got] == [repr(seq.value(int(n))) for n in ns]
 
 
 def _old_default_window(seq, base, n0):

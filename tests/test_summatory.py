@@ -6,6 +6,7 @@ import pytest
 from digitprod import summatory
 from digitprod.digits import DigitStat
 from digitprod.errors import ProfileMismatch, ValidationError
+from digitprod.identities import catalog
 from digitprod.sequences import (
     DigitStatPower,
     PeriodicPower,
@@ -127,6 +128,24 @@ def test_recursive_bits_match_the_loop_with_zero_terms(seq, base, rng):
             _level_loop_with_zero_terms(prof, seq, n)), n
 
 
+# the catalog's 17 distinct sequences, each in its own base
+_CATALOG_SEQS = list(dict.fromkeys(part.spec.seq for c in catalog() for part in c.parts))
+
+
+def test_head_values_read_once_keep_the_bits_on_the_catalog(rng):
+    # u(0), F(B) and the base case F(m), m < B, come from one list of
+    # u(0), ..., u(B-1); compared by repr with the loop that reads each by
+    # its own value() calls
+    assert len(_CATALOG_SEQS) == 17
+    for seq in _CATALOG_SEQS:
+        prof = recursion_profile(seq)
+        b = prof.base
+        ns = list(range(2 * b)) + [int(rng.integers(b, 2**53 // b)) for _ in range(10)]
+        for n in ns:
+            assert repr(partial_sum_recursive(prof, seq, n)) == repr(
+                _level_loop_with_zero_terms(prof, seq, n)), (seq, n)
+
+
 class _CountingSeq:
     """Wraps a sequence and counts its value() calls."""
 
@@ -167,6 +186,29 @@ def test_profile_mismatch_detected():
     )
     with pytest.raises(ProfileMismatch):
         partial_sum_recursive(bad, tm, 1000)
+
+
+@pytest.mark.parametrize("seq, base", _LEVEL_CASES, ids=_LEVEL_IDS)
+def test_head_values_are_read_once_per_query(seq, base):
+    # B**40 needs no level value(): the spot checks read u(m), u(B*m) and
+    # u(B*m + B - 1) for four m, and u(0), ..., u(B-1) are read once
+    prof = recursion_profile(seq, base=base)
+    counted = _CountingSeq(seq)
+    partial_sum_recursive(prof, counted, prof.base**40)
+    assert counted.calls == 3 * 4 + prof.base
+
+
+def test_spot_check_is_relative_above_modulus_one():
+    # |u| reaches 2.9**52 below 2**53; u(B*m + k) and u(m) * v(k) multiply
+    # the same factors in another order, so they round apart by far more
+    # than 1e-12 but by about 1e-16 of their size
+    seq = StronglyMultiplicative(2, (-2.9,))
+    prof = recursion_profile(seq, 4096)
+    n = 2**53 - 12345
+    assert math.isfinite(abs(partial_sum_recursive(prof, seq, n)))
+    bad = dataclasses.replace(prof, v=(prof.v[0], prof.v[1] * (1 + 1e-9)))
+    with pytest.raises(ProfileMismatch):
+        partial_sum_recursive(bad, seq, n)
 
 
 def test_profile_sums_cannot_disagree_with_v():
