@@ -32,7 +32,6 @@ from .gammaproducts import (
     wallis_quotient,
 )
 from .identities import (
-    ClosedForm,
     IdentityClaim,
     Part,
     catalog,

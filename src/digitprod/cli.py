@@ -31,7 +31,6 @@ import json
 import re
 import sys
 from collections import Counter
-from math import exp, log
 
 from .digits import DigitStat, check_base, check_nonnegative, digits_of, thue_morse
 from .errors import (
@@ -67,7 +66,7 @@ from .sequences import (
     recursion_profile,
     thue_morse_seq,
 )
-from .summatory import partial_sum_recursive
+from .summatory import growth_check
 
 __all__ = ["parse_spec", "render_spec", "main"]
 
@@ -389,19 +388,18 @@ def _cmd_summatory(args) -> int:
     seq = parsed.seq if isinstance(parsed, ProductSpec) else parsed
     check_nonnegative(args.terms)
     profile = recursion_profile(seq, base=base)
-    rows = []
+    checkpoints = []
     n = base
     while n <= args.terms:
-        f = partial_sum_recursive(profile, seq, n)
-        if not cmath.isfinite(f):
-            raise ValidationError(
-                f"partial sum F(N) is not finite at N = {base}**{len(rows) + 1}"
-            )
-        # in logs, since N**alpha overflows a float past N ~ 1.8e308; a
-        # finite F then gives a finite ratio
-        ratio = exp(log(abs(f)) - profile.alpha * log(n)) if f else 0.0
-        rows.append((n, f.real, f.imag, abs(f), ratio))
+        checkpoints.append(n)
         n *= base
+    rows = []
+    if checkpoints:
+        report = growth_check(profile, seq, checkpoints)
+        for j, (n, f, ratio) in enumerate(zip(checkpoints, report.sums, report.ratios), 1):
+            if not cmath.isfinite(f):
+                raise ValidationError(f"partial sum F(N) is not finite at N = {base}**{j}")
+            rows.append((n, f.real, f.imag, abs(f), ratio))
     if args.output == "json":
         _emit_json(
             [

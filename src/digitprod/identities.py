@@ -1,7 +1,8 @@
 """Catalog of closed-form product identities and the verification harness.
 
-Each ``IdentityClaim`` pairs one or more product specifications with a
-closed-form right-hand side.  Complex-exponent specifications double as
+Each ``IdentityClaim`` pairs one or more product specifications with the
+value of a closed-form right-hand side: B**e, p/q or a Gamma quotient's
+limit.  Complex-exponent specifications double as
 carriers for sine/cosine exponent pairs: the sine product is a real part of
 the complex log-sum and the cosine product an imaginary part, so one
 evaluation serves both members of a pair (and their squared variants).
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .digits import DigitStat
 from .errors import ValidationError
-from .gammaproducts import GammaQuotient, alternating_pair_quotient, quotient_limit
+from .gammaproducts import alternating_pair_quotient, quotient_limit
 from .products import (
     EvalResult,
     Factor,
@@ -40,7 +41,6 @@ from .products import (
 from .sequences import DigitStatPower, ExponentSeq, PeriodicPower, thue_morse_seq
 
 __all__ = [
-    "ClosedForm",
     "Part",
     "IdentityClaim",
     "catalog",
@@ -53,38 +53,6 @@ __all__ = [
 
 # the term budget of verify_claim and verify_all when none is given
 DEFAULT_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """Right-hand side of a claim: B**e, p/q or a Gamma quotient."""
-
-    kind: str
-    exponent: complex = 0.0
-    numer: int = 0
-    denom: int = 1
-    quotient: GammaQuotient | None = None
-
-    @staticmethod
-    def power_of_base(exponent) -> "ClosedForm":
-        return ClosedForm("power_of_base", exponent=complex(exponent))
-
-    @staticmethod
-    def rational(numer: int, denom: int) -> "ClosedForm":
-        return ClosedForm("rational", numer=int(numer), denom=int(denom))
-
-    @staticmethod
-    def gamma_ref(quotient: GammaQuotient) -> "ClosedForm":
-        return ClosedForm("gamma_quotient", quotient=quotient)
-
-    def value(self, base: int) -> complex:
-        if self.kind == "power_of_base":
-            return cmath.exp(self.exponent * math.log(base))
-        if self.kind == "rational":
-            return complex(self.numer / self.denom)
-        if self.kind == "gamma_quotient":
-            return complex(quotient_limit(self.quotient))
-        raise ValidationError(f"unknown closed form {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -111,14 +79,15 @@ CATALOG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IdentityClaim:
-    """Closed form ``rhs`` for exp(sum of the parts' contributions).
+    """``rhs``, the value of a closed form, for exp(sum of the parts'
+    contributions).
 
     Every part is a product in one base, the claim's ``base``.
     """
 
     name: str
     parts: tuple[Part, ...]
-    rhs: ClosedForm
+    rhs: complex
     cite: str
     tol: float = CATALOG_TOL
 
@@ -129,6 +98,10 @@ class IdentityClaim:
     @property
     def base(self) -> int:
         return self.parts[0].spec.base
+
+
+def _base_power(base: int, exponent) -> complex:
+    return cmath.exp(complex(exponent) * math.log(base))
 
 
 def _odd_residues(base: int) -> list[int]:
@@ -184,13 +157,13 @@ def catalog() -> list[IdentityClaim]:
     add(
         "woods_robbins",
         [Part(wr_spec)],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(2, -0.5),
         "Woods-Robbins product over (2n+1)/(2n+2)",
     )
     add(
         "woods_robbins_squared",
         [Part(ProductSpec(2, [Factor(1, 2.0)], thue_morse_seq()))],
-        ClosedForm.rational(1, 2),
+        complex(1 / 2),
         "squared Woods-Robbins product, multiplier 1 - u(1) = 2",
     )
 
@@ -199,7 +172,7 @@ def catalog() -> list[IdentityClaim]:
     add(
         "strong_mult_gauss_b3",
         [Part(ProductSpec(3, [Factor(1, 1 - 1j), Factor(2, 2.0)], i_s3))],
-        ClosedForm.rational(1, 3),
+        complex(1 / 3),
         "strongly multiplicative product with i**digit_sum exponents, base 3",
     )
 
@@ -208,13 +181,13 @@ def catalog() -> list[IdentityClaim]:
     add(
         "zero_count_scaled_b2",
         [Part(_zero_count_spec(2, 0.5, scaled=True))],
-        ClosedForm.rational(1, 2),
+        complex(1 / 2),
         "zero-count product with multiplier 1 - z",
     )
     add(
         "zero_count_log_b2",
         [Part(_zero_count_spec(2, 0.5, scaled=False))],
-        ClosedForm.power_of_base(1.0 / (0.5 - 1.0)),
+        _base_power(2, 1.0 / (0.5 - 1.0)),
         "zero-count product, unscaled exponent, value B**(1/(z-1))",
     )
 
@@ -223,25 +196,25 @@ def catalog() -> list[IdentityClaim]:
     add(
         "roots_unity_sin_b5",
         [Part(r5, 0.5, "real")],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(5, -0.5),
         "sine pair product over base 5, fourth roots of unity",
     )
     add(
         "roots_unity_cos_b5",
         [Part(r5, -0.5, "imag")],
-        ClosedForm.rational(1, 1),
+        complex(1),
         "cosine pair product over base 5, fourth roots of unity",
     )
     add(
         "sigma_first_b5",
         [Part(r5, 1.0, "real")],
-        ClosedForm.rational(1, 5),
+        complex(1 / 5),
         "squared sine pair: the +-1 square-residue exponent product",
     )
     add(
         "sigma_second_b5",
         [Part(r5, -1.0, "imag")],
-        ClosedForm.rational(1, 1),
+        complex(1),
         "squared cosine pair: the shifted square-residue exponent product",
     )
 
@@ -250,14 +223,14 @@ def catalog() -> list[IdentityClaim]:
     add(
         "digit_sum_pow_b3",
         [Part(ProductSpec(3, [Factor(1, 0.5), Factor(2, 0.75)], zs3))],
-        ClosedForm.rational(1, 3),
+        complex(1 / 3),
         "digit-sum power product with multipliers 1 - z**k, base 3",
     )
     half_s2 = DigitStatPower(2, 0.5, DigitStat.digit_sum())
     add(
         "half_pow_digit_sum_b2",
         [Part(ProductSpec(2, [Factor(1, 1.0)], half_s2))],
-        ClosedForm.rational(1, 4),
+        complex(1 / 4),
         "squared digit-sum power product at z = 1/2, base 2",
     )
 
@@ -266,25 +239,25 @@ def catalog() -> list[IdentityClaim]:
     add(
         "sin_digit_sum_b2",
         [Part(ds2, 0.5, "real")],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(2, -0.5),
         "sine product with digit-sum phases, base 2",
     )
     add(
         "cos_digit_sum_b2",
         [Part(ds2, -0.5, "imag")],
-        ClosedForm.rational(1, 1),
+        complex(1),
         "cosine product with digit-sum phases, base 2",
     )
     add(
         "sigma_digit_sum_first_b2",
         [Part(ds2, 1.0, "real")],
-        ClosedForm.rational(1, 2),
+        complex(1 / 2),
         "squared sine product: square-residue exponent of the digit sum",
     )
     add(
         "sigma_digit_sum_second_b2",
         [Part(ds2, -1.0, "imag")],
-        ClosedForm.rational(1, 1),
+        complex(1),
         "squared cosine product: shifted square-residue exponent of the digit sum",
     )
 
@@ -293,7 +266,7 @@ def catalog() -> list[IdentityClaim]:
     add(
         "theta_digit_sum_b3",
         [Part(ds3, 1.0, "real"), Part(ds3, 1.0 / sqrt3, "imag")],
-        ClosedForm.rational(1, 3),
+        complex(1 / 3),
         "rearranged base-3 product with the 1,1,-2 exponent pattern",
     )
 
@@ -304,7 +277,7 @@ def catalog() -> list[IdentityClaim]:
         add(
             f"sum_digits_b{b}",
             [Part(spec)],
-            ClosedForm.power_of_base(-0.5),
+            _base_power(b, -0.5),
             f"odd-residue product with (-1)**digit_sum exponents, base {b}",
         )
 
@@ -314,20 +287,20 @@ def catalog() -> list[IdentityClaim]:
     add(
         "digit_set_sin_b4",
         [Part(dj4, 1.0 / (2.0 * s_pi3), "real")],
-        ClosedForm.power_of_base(-1.0 / (2.0 * s_pi3)),
+        _base_power(4, -1.0 / (2.0 * s_pi3)),
         "digit-set {1,3} count product with third-root phases, base 4",
     )
     add(
         "digit_set_cos_b4",
         [Part(dj4, -1.0 / (2.0 * s_pi3), "imag")],
-        ClosedForm.rational(1, 1),
+        complex(1),
         "digit-set {1,3} cosine partner, base 4",
     )
     parity_set = DigitStatPower(5, -1.0, DigitStat.count_set({1, 2}))
     add(
         "digit_set_parity_b5",
         [Part(ProductSpec(5, [Factor(1, 1.0), Factor(2, 1.0)], parity_set))],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(5, -0.5),
         "(-1)**(count of digits 1 and 2) product, base 5",
     )
 
@@ -335,14 +308,14 @@ def catalog() -> list[IdentityClaim]:
     add(
         "count_ones_b2",
         [Part(wr_spec)],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(2, -0.5),
         "single-digit count product at k = 1, base 2",
     )
     zeros2 = DigitStatPower(2, -1.0, DigitStat.count(0))
     add(
         "count_zeros_b2",
         [Part(ProductSpec(2, [Factor(0, 1.0)], zeros2))],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(2, -0.5),
         "single-digit count product at k = 0, base 2",
     )
 
@@ -351,13 +324,13 @@ def catalog() -> list[IdentityClaim]:
     add(
         "eta_count_b3",
         [Part(c31, 2.0 / 3.0, "real")],
-        ClosedForm.power_of_base(-2.0 / 3.0),
+        _base_power(3, -2.0 / 3.0),
         "1,0,-1 exponent pattern of the digit-1 count, base 3",
     )
     add(
         "theta_count_b3",
         [Part(c31, -2.0 / sqrt3, "imag")],
-        ClosedForm.rational(1, 1),
+        complex(1),
         "squared cosine partner with the 1,1,-2 pattern, base 3",
     )
 
@@ -366,7 +339,7 @@ def catalog() -> list[IdentityClaim]:
     add(
         "alternating_b3",
         [Part(alt3)],
-        ClosedForm.gamma_ref(alternating_pair_quotient(3, 1)),
+        complex(quotient_limit(alternating_pair_quotient(3, 1))),
         "alternating product (3n+1)/(3n+2), equal to 1/sqrt(3)",
     )
     alt5 = ProductSpec(
@@ -375,7 +348,7 @@ def catalog() -> list[IdentityClaim]:
     add(
         "alternating_b5",
         [Part(alt5)],
-        ClosedForm.power_of_base(-0.5),
+        _base_power(5, -0.5),
         "alternating odd-residue product, base 5",
     )
 
@@ -463,7 +436,7 @@ def verify_claim(
         err_est += abs(part.coeff) * res.err_est
         terms = max(terms, res.terms)
     computed = cmath.exp(total_log)
-    expected = claim.rhs.value(claim.base)
+    expected = claim.rhs
     abs_err = abs(computed - expected)
     rel_err = abs_err / abs(expected)
     return VerifyReport(

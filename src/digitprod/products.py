@@ -146,10 +146,13 @@ class ProductSpec:
 @dataclass(frozen=True)
 class EvalResult:
     log_value: complex
-    value: complex
     err_est: float
     terms: int
     method: str
+
+    @property
+    def value(self) -> complex:
+        return cmath.exp(self.log_value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,7 +327,7 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
         raise ValidationError(f"n_terms must be nonnegative, got {n_terms}")
     n = _round_up_terms(int(n_terms), spec.base)
     log_sum, _, last_block = _engine(spec, n, threads=threads)
-    return EvalResult(log_sum, cmath.exp(log_sum), abs(last_block), n, "naive")
+    return EvalResult(log_sum, abs(last_block), n, "naive")
 
 
 def evaluate_abel(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResult:
@@ -347,7 +350,7 @@ def evaluate_abel(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResu
     log_sum, f_end, _ = _engine(spec, n, threads=threads)
     err = (_tail_bound(spec, profile, f_end, n)
            + (n.bit_length() + 20) * _UNIT * _abs_log_sum(spec, n))
-    return EvalResult(log_sum, cmath.exp(log_sum), err, n, "abel")
+    return EvalResult(log_sum, err, n, "abel")
 
 
 _MOMENT_ORDER = 8  # R: the moments n**-1 .. n**-R of a digit level
@@ -454,7 +457,7 @@ def _moments_at_level(spec: ProductSpec, v: tuple[complex, ...], level: int) -> 
         + roundings * _UNIT * head_abs
         + (roundings + 4 * order) * _UNIT * sum(abs(c) * t for c, t in zip(weights, tail_abs))
     )
-    return EvalResult(log_value, cmath.exp(log_value), err, top, "moments")
+    return EvalResult(log_value, err, top, "moments")
 
 
 def evaluate_moments(spec: ProductSpec, n_terms: int) -> EvalResult:

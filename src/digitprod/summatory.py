@@ -88,13 +88,14 @@ def partial_sum_recursive(
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Empirical constants for the growth bound |F(N)| < C * N**alpha."""
+    """Empirical constants for the growth bound |F(N)| < C * N**alpha, with
+    the sums F(N) and the ratios |F(N)| / N**alpha at the checkpoints."""
 
     alpha: float
     c_est: float
     passed: bool
+    sums: tuple[complex, ...]
     ratios: tuple[float, ...]
-    c_log_est: float | None  # max |F(N)| / log N over N > 1, only when |sum v| <= 1
 
     def __bool__(self) -> bool:
         return self.passed
@@ -114,18 +115,14 @@ def growth_check(profile: RecursionProfile, seq: ExponentSeq, checkpoints) -> Gr
     if pts[0] < 1:
         raise ValidationError(f"checkpoints must be >= 1, got {pts[0]}")
     alpha = profile.alpha
-    fs = [abs(partial_sum_recursive(profile, seq, p)) for p in pts]
-    # in logs, since p**alpha needs p as a float and overflows past ~1.8e308
-    ratios = tuple(exp(log(f) - alpha * log(p)) if f else 0.0 for f, p in zip(fs, pts))
-    c_log = None
-    if abs(profile.v_total) <= 1.0:
-        # None also when no checkpoint exceeds 1, where log N is not positive
-        c_log = max((f / log(p) for f, p in zip(fs, pts) if p > 1), default=None)
+    sums = tuple(partial_sum_recursive(profile, seq, p) for p in pts)
+    # in logs, since p**alpha needs p as a float and overflows past ~1.8e308;
+    # alpha >= 1/2, so a finite F gives a finite ratio
+    ratios = tuple(exp(log(abs(f)) - alpha * log(p)) if f else 0.0
+                   for f, p in zip(sums, pts))
     q1 = max(1, len(pts) // 4)
     early = max(ratios[:q1])
     late = max(ratios[q1:]) if len(ratios) > q1 else early
     c_est = max(late, early)
     passed = late <= 1.25 * early
-    return GrowthReport(
-        alpha=alpha, c_est=c_est, passed=passed, ratios=ratios, c_log_est=c_log
-    )
+    return GrowthReport(alpha=alpha, c_est=c_est, passed=passed, sums=sums, ratios=ratios)

@@ -70,14 +70,12 @@ def test_catalog_claims_are_pinned():
         # the claim's base is derived from its parts, so they must share it
         assert {part.spec.base for part in claim.parts} == {base}, name
         assert claim.base == base and claim.tol == CATALOG_TOL == 1e-12, name
-        assert claim.rhs.value(base) == pytest.approx(value, rel=1e-15, abs=0), name
+        assert claim.rhs == pytest.approx(value, rel=1e-15, abs=0), name
 
 
 def test_woods_robbins_rhs_value():
     claim = claim_by_name("woods_robbins")
-    assert claim.rhs.value(claim.base).real == pytest.approx(
-        0.7071067811865476, abs=1e-16
-    )
+    assert claim.rhs.real == pytest.approx(0.7071067811865476, abs=1e-16)
 
 
 def test_every_claim_spec_admits_a_profile():
