@@ -288,7 +288,11 @@ def render_spec(spec: ProductSpec | ExponentSeq) -> str:
 # output helpers
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot state
+        raise ValidationError(f"output is not valid JSON: {exc}") from None
+    print(text)
 
 
 def _require_product(parsed) -> ProductSpec:

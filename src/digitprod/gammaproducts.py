@@ -69,10 +69,18 @@ class GammaQuotient:
         object.__setattr__(self, "b", tb)
 
 
+def _exp_of_log(what: str, log_value: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"the {what} overflows a float: its log is {log_value!r}") from None
+
+
 def quotient_limit(q: GammaQuotient) -> float:
     """The quotient's limit Gamma(b_1)...Gamma(b_d) / (Gamma(a_1)...Gamma(a_d))."""
-    return math.exp(
-        fsum(log_gamma(x) for x in q.b) - fsum(log_gamma(x) for x in q.a)
+    return _exp_of_log(
+        "quotient's limit",
+        fsum(log_gamma(x) for x in q.b) - fsum(log_gamma(x) for x in q.a),
     )
 
 
@@ -88,7 +96,7 @@ def partial_quotient(q: GammaQuotient, n_terms: int) -> float:
         total += np.log(ns + x)
     for x in q.b:
         total -= np.log(ns + x)
-    return math.exp(fsum(total.tolist()))
+    return _exp_of_log("partial product", fsum(total.tolist()))
 
 
 def wallis_quotient() -> GammaQuotient:

@@ -92,8 +92,8 @@ class IdentityClaim:
     tol: float = CATALOG_TOL
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"tolerance must be finite and positive, got {self.tol}")
 
     @property
     def base(self) -> int:

@@ -69,7 +69,10 @@ _BLOCK = 1 << 19
 
 def _fsum_c(values) -> complex:
     vals = [complex(v) for v in values]
-    return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
+    try:
+        return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
+    except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+        return complex(math.nan, math.nan)
 
 
 def log_ratio_term(base: int, residue: int, n: int) -> float:
@@ -152,7 +155,12 @@ class EvalResult:
 
     @property
     def value(self) -> complex:
-        return cmath.exp(self.log_value)
+        try:
+            return cmath.exp(self.log_value)
+        except OverflowError:
+            raise DomainError(
+                f"the product overflows a float: its log is {self.log_value!r}"
+            ) from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,22 +241,25 @@ def _engine(spec: ProductSpec, n_terms: int, threads: int) -> tuple[complex, com
 
     def worker(span: tuple[int, int]):
         ns = np.arange(*span, dtype=np.int64)
-        u = seq.block(ns)
-        # u is float64 or complex128; the columns of its (n, 1) or (n, 2)
-        # float view give the real (and imaginary) part of u . a, with no
-        # complex copy of a.  Each is a product into one float buffer and a
-        # pairwise sum, not a BLAS dot: a threaded BLAS dot leaves its own
-        # worker threads spinning after each call, which took the CPU from
-        # the threads of map_ordered
-        uv = u.view(np.float64).reshape(len(u), -1)
-        buf = np.empty(len(u))
-        parts = []
-        for f in factors:
-            i = min(max(f.start - span[0], 0), len(u))
-            a = _log_ratio_block(base, f.residue, ns[i:])
-            dot = complex(*[np.multiply(a, c[i:], out=buf[i:]).sum() for c in uv.T])
-            parts.append(f.multiplier * dot)
-        return complex(u.sum()), _fsum_c(parts)
+        # an overflow leaves a sum that is not finite, which evaluate_direct
+        # refuses; errstate is per thread, so it is set in the worker
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = seq.block(ns)
+            # u is float64 or complex128; the columns of its (n, 1) or (n, 2)
+            # float view give the real (and imaginary) part of u . a, with no
+            # complex copy of a.  Each is a product into one float buffer and
+            # a pairwise sum, not a BLAS dot: a threaded BLAS dot leaves its
+            # own worker threads spinning after each call, which took the CPU
+            # from the threads of map_ordered
+            uv = u.view(np.float64).reshape(len(u), -1)
+            buf = np.empty(len(u))
+            parts = []
+            for f in factors:
+                i = min(max(f.start - span[0], 0), len(u))
+                a = _log_ratio_block(base, f.residue, ns[i:])
+                dot = complex(*[np.multiply(a, c[i:], out=buf[i:]).sum() for c in uv.T])
+                parts.append(f.multiplier * dot)
+            return complex(u.sum()), _fsum_c(parts)
 
     results = map_ordered(worker, zip(edges, edges[1:]), threads)
     last = results[-1][1] if results else 0j
@@ -327,6 +338,8 @@ def evaluate_direct(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalRe
         raise ValidationError(f"n_terms must be nonnegative, got {n_terms}")
     n = _round_up_terms(int(n_terms), spec.base)
     log_sum, _, last_block = _engine(spec, n, threads=threads)
+    if not cmath.isfinite(log_sum):
+        raise ValidationError(f"the log-sum {log_sum!r} is not finite: a term overflows a float")
     return EvalResult(log_sum, abs(last_block), n, "naive")
 
 
@@ -358,22 +371,22 @@ _MOMENT_HEAD = 256  # the tail starts at the first level with B**L0 >= this
 
 
 def _moment_level(spec: ProductSpec, n_terms: int) -> int:
-    """L0: the smallest level with B**L0 >= max(256, every factor start),
-    lowered until the B**(L0+1) summed terms fit the budget n_terms."""
+    """L0: the least L >= 1 with B**L >= every factor start, raised while
+    B**L0 < 256 and the B**(L0+2) terms of the next level fit the budget
+    n_terms.  B**(L+1) is the least budget the method accepts."""
     base = spec.base
     first = max(f.start for f in spec.factors)
-    level = 1
-    while base**level < max(_MOMENT_HEAD, first):
+    level = 1  # the expansion in 1/n needs the tail to start at n >= B
+    while base**level < first:
         level += 1
-    while level > 1 and base ** (level + 1) > n_terms:
-        level -= 1
-    # the expansion in 1/n needs the tail to start at n >= B, so L0 >= 1
-    if base ** (level + 1) > n_terms or base**level < first:
+    if base ** (level + 1) > n_terms:
+        started = f" with a factor starting at n = {first}" if level > 1 else ""
         raise ValidationError(
-            f"n_terms = {n_terms} leaves no digit level L0 >= 1 with "
-            f"B**(L0+1) <= n_terms and B**L0 >= {first}, the largest factor "
-            f"start (base {base})"
+            f"n_terms = {n_terms} is below {base ** (level + 1)}, the least budget "
+            f"of the moment method in base {base}{started}"
         )
+    while base**level < _MOMENT_HEAD and base ** (level + 2) <= n_terms:
+        level += 1
     return level
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from digitprod import cli
 from digitprod.cli import main, parse_complex, parse_spec, render_complex, render_spec
 from digitprod.digits import DigitStat, _stat_record, digits_of
 from digitprod.errors import ParseError, ValidationError
@@ -373,6 +374,57 @@ def test_cli_options_a_command_does_not_render_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, log", [
+    *[(["eval", "--method", method, "--spec",
+        "base=2; exponent=thue_morse; factors=1:-3000", "--terms", "100000"],
+       "1039.72077083991") for method in ("moments", "abel", "naive")],
+    (["gamma", "--quotient", "a=150,150;b=1e-300,300"], "899.95865425797"),
+    (["gamma", "--quotient", "a=150,150;b=1e-300,300", "--terms", "10"],
+     "899.95865425797"),
+], ids=["eval-moments", "eval-abel", "eval-naive", "gamma", "gamma-partial"])
+def test_cli_value_overflowing_a_float_exit_2(capsys, argv, log):
+    # a finite log whose exponential is no float: a domain error, not a
+    # failed verification
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "overflows a float" in lines[0] and log in lines[0]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "woods_robbins", "--terms", "1000", "--tol", "inf"],
+    ["eval", "--method", "naive", "--spec", "base=2; exponent=table(1e308); factors=1",
+     "--terms", "100"],
+], ids=["verify-tol-inf", "eval-naive-overflow"])
+def test_cli_json_output_is_strict_or_exit_2(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_emit_json_refuses_non_finite_numbers(capsys):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            cli._emit_json({"x": value})
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_budget_below_the_moment_method_exit_2(capsys):
+    # base 5 is the first catalog base whose least budget 5**2 exceeds 10
+    code = main(["verify-all", "--terms", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n_terms = 10 is below 25, the least budget of the moment "
+        "method in base 5\n")
+
+
 def test_cli_usage_errors(capsys):
     code, _ = run(capsys, ["eval", "--terms", "100"])
     assert code == 2
@@ -443,6 +495,27 @@ def test_cli_summatory_non_finite_partial_sum_exit_2(capsys):
                              "--terms", str(10**400)])
     assert code == 2
     assert out == ""
+
+
+def test_cli_summatory_first_non_finite_partial_sum_is_named(capsys):
+    # F(2**j) = 1.99**j is finite up to j = 1031; every later checkpoint is
+    # computed too before the first non-finite row is refused
+    code = main(["summatory", "--spec", "base=2; exponent=digit_sum_pow(0.99)",
+                 "--terms", str(2**1100)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: partial sum F(N) is not finite at N = 2**1032\n"
+
+
+@pytest.mark.parametrize("output, expected", [
+    ("csv", "N,re_F,im_F,abs_F,ratio\n"), ("json", "[]\n")], ids=["csv", "json"])
+@pytest.mark.parametrize("terms", ["0", "3"])
+def test_cli_summatory_below_the_base_has_no_rows(capsys, output, expected, terms):
+    code, out = run(capsys, ["summatory", "--spec", "base=4; exponent=thue_morse",
+                             "--terms", terms, "--output", output])
+    assert code == 0
+    assert out == expected
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])

@@ -85,6 +85,16 @@ def test_partial_quotient_rate():
         assert c >= 0.2 * c0
 
 
+def test_quotient_overflow_raises_domain_error():
+    # Gamma(1e-300) ~ 1e300 and the n = 0 factor ~ 7.5e301: neither the
+    # limit nor the product of ten factors is a float
+    q = GammaQuotient((150.0, 150.0), (1e-300, 300.0))
+    with pytest.raises(DomainError, match="limit overflows a float: its log is 899"):
+        quotient_limit(q)
+    with pytest.raises(DomainError, match="partial product overflows a float: its log is 721"):
+        partial_quotient(q, 10)
+
+
 def test_alternating_pair_quotient_base3():
     q = alternating_pair_quotient(3, 1)
     assert q.a == (1 / 6, 5 / 6)

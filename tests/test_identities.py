@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -76,6 +77,14 @@ def test_catalog_claims_are_pinned():
 def test_woods_robbins_rhs_value():
     claim = claim_by_name("woods_robbins")
     assert claim.rhs.real == pytest.approx(0.7071067811865476, abs=1e-16)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+def test_claim_tolerance_must_be_finite_and_positive(tol):
+    # an infinite tolerance would pass any claim
+    claim = claim_by_name("woods_robbins")
+    with pytest.raises(ValidationError, match="finite and positive"):
+        dataclasses.replace(claim, tol=tol)
 
 
 def test_every_claim_spec_admits_a_profile():

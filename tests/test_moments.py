@@ -64,6 +64,22 @@ def _default_level(spec):
     return products._moment_level(spec, 10**6)
 
 
+@pytest.mark.parametrize("start, budget, least, mention", [
+    (0, 3, 4, False), (2, 3, 4, False), (5, 15, 16, True), (5, 4, 16, True)])
+def test_moment_level_names_the_least_budget(start, budget, least, mention):
+    # the least L >= 1 with 2**L >= every start sets the least budget 2**(L+1);
+    # the start is named only when it raises L above 1
+    spec = ProductSpec(2, [Factor(1, 1.0, start=start)], thue_morse_seq())
+    with pytest.raises(ValidationError) as info:
+        products._moment_level(spec, budget)
+    message = str(info.value)
+    assert message.startswith(
+        f"n_terms = {budget} is below {least}, the least budget of the moment "
+        "method in base 2")
+    assert ("starting at n = 5" in message) == mention
+    assert products._moment_level(spec, least) >= 1
+
+
 def _at_level(spec, level):
     v = recursion_profile(spec.seq, base=spec.base).v
     return products._moments_at_level(spec, v, level)

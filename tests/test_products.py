@@ -291,3 +291,24 @@ def test_terms_capped_so_every_index_is_exact(base):
         evaluate_direct(spec, n)
     with pytest.raises(ValidationError, match=r"2\*\*53"):
         evaluate_abel(spec, n)
+
+
+def test_value_overflow_raises_domain_error():
+    # the log is finite; only its exponential overflows, when value is read
+    result = products.EvalResult(1000.0 + 0j, 0.0, 10, "naive")
+    with pytest.raises(DomainError, match=r"its log is \(1000\+0j\)"):
+        result.value
+    assert products.EvalResult(-1000.0 + 0j, 0.0, 10, "naive").value == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factors", [
+    [(1, 1.0)], [(0, 1.0), (1, -1.0)], [(0, 1e300), (1, -1e300)]])
+def test_direct_refuses_a_log_sum_that_is_not_finite(factors):
+    # u(1) = 1e308 makes the sums overflow to -inf, to inf - inf or past the
+    # float range, without a floating-point warning
+    spec = ProductSpec(2, factors, StronglyMultiplicative(2, [1e308]))
+    for threads in (1, 2):
+        with pytest.raises(ValidationError, match="is not finite: a term overflows a float"):
+            evaluate_direct(spec, 10**5, threads=threads)
+

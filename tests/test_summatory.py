@@ -233,6 +233,18 @@ def test_growth_thue_morse_bounded():
     )
 
 
+def test_growth_report_holds_the_partial_sums():
+    # the table ``summatory`` prints: F(N) and |F(N)| / N**alpha at each N
+    seq = DigitStatPower(3, 0.6 + 0.3j, DigitStat.digit_sum())
+    prof = recursion_profile(seq, 4096)
+    checkpoints = [3**j for j in range(1, 12)]
+    rep = growth_check(prof, seq, checkpoints)
+    assert rep.sums == tuple(partial_sum_recursive(prof, seq, p) for p in checkpoints)
+    assert rep.ratios == tuple(
+        math.exp(math.log(abs(f)) - prof.alpha * math.log(p))
+        for f, p in zip(rep.sums, checkpoints))
+
+
 def test_growth_alpha_values():
     half = DigitStatPower(2, 0.5, DigitStat.digit_sum())
     prof = recursion_profile(half, 4096)
