@@ -2,10 +2,10 @@
 
 Each ``IdentityClaim`` pairs one or more product specifications with the
 value of a closed-form right-hand side: B**e, p/q or a Gamma quotient's
-limit.  Complex-exponent specifications double as
-carriers for sine/cosine exponent pairs: the sine product is a real part of
-the complex log-sum and the cosine product an imaginary part, so one
-evaluation serves both members of a pair (and their squared variants).
+limit.  Complex-exponent specifications double as carriers for sine/cosine
+exponent pairs: the sine product is a real part of the complex log-sum and
+the cosine product an imaginary part, so one evaluation serves both members
+of a pair (and their squared variants).
 
 Every part is evaluated by ``evaluate_moments``: a direct head of at most
 N terms and the whole tail from the digit-level moment recursion, so a
@@ -79,8 +79,7 @@ CATALOG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IdentityClaim:
-    """``rhs``, the value of a closed form, for exp(sum of the parts'
-    contributions).
+    """A closed form's value ``rhs`` for exp(sum of the parts' contributions).
 
     Every part is a product in one base, the claim's ``base``.
     """
