@@ -403,7 +403,12 @@ def _cmd_summatory(args) -> int:
         for j, (n, f, ratio) in enumerate(zip(checkpoints, report.sums, report.ratios), 1):
             if not cmath.isfinite(f):
                 raise ValidationError(f"partial sum F(N) is not finite at N = {base}**{j}")
-            rows.append((n, f.real, f.imag, abs(f), ratio))
+            try:
+                fa = abs(f)
+            except OverflowError:
+                raise ValidationError(
+                    f"|F(N)| overflows a float at N = {base}**{j}: F(N) = {f!r}") from None
+            rows.append((n, f.real, f.imag, fa, ratio))
     if args.output == "json":
         _emit_json(
             [

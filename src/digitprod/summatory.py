@@ -6,11 +6,12 @@ The recursive evaluator peels base-B digits using the identity
 
 where S is the full sum of the recursion multipliers v(k) and G(b) their
 partial sum below b.  F(B), u(0) and the base case F(M), M < B, come from
-u(0), ..., u(B-1), read once per query: the recursion constrains only
-n >= 1.  The pass down the digits of N makes one divmod per digit and one
-value(M) call per nonzero digit: G(0) = 0, so a zero digit needs no u(M),
-and N = B**j needs none at all.  Each value(M) call reads the digits of M,
-so the cost is O(log^2 N) at most.
+u(0), ..., u(B-1), read once per call: the recursion constrains only
+n >= 1.  The pass down the digits of N makes one divmod per digit and
+carries u(M) along the prefixes, u(B*M + r) = u(M) * v(r), from the
+shortest, u(M) with 1 <= M < B, read from the same head; so it makes no
+value() call and costs O(log N).  G(0) = 0, so a zero digit adds no term.
+``growth_check`` sums all its checkpoints in one such call.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def partial_sum_direct(seq: ExponentSeq, n: int) -> complex:
     return total
 
 
-def _spot_check(profile: RecursionProfile, seq: ExponentSeq, n: int) -> None:
+def _spot_check(profile: RecursionProfile, seq: ExponentSeq, ms) -> None:
     b = profile.base
-    for m in {profile.n0, profile.n0 + 1, max(1, n // b), max(1, n // (b * b))}:
+    for m in ms:
         um = seq.value(m)
         for k in (0, b - 1):
             predicted = um * profile.v[k]
@@ -56,34 +57,55 @@ def _spot_check(profile: RecursionProfile, seq: ExponentSeq, n: int) -> None:
                 )
 
 
+def _partial_sums(profile: RecursionProfile, seq: ExponentSeq, ns) -> list[complex]:
+    """F(n) for each n in ``ns``: one head read and one spot check for all."""
+    ns = [check_nonnegative(n) for n in ns]
+    b = profile.base
+    # the recursion is spot-checked at n0, n0 + 1 and two prefixes of each n
+    checked = {profile.n0, profile.n0 + 1}
+    for n in ns:
+        checked.update((max(1, n // b), max(1, n // (b * b))))
+    _spot_check(profile, seq, checked)
+    head = [seq.value(k) for k in range(b)]  # u(0), ..., u(B-1)
+    fb = complex(sum(head))
+    s_total = profile.v_total
+    v, g = profile.v, profile.v_prefix
+    sums = []
+    for n in ns:
+        # the digits of n below the shortest prefix m < B, one divmod each,
+        # unwound from the shortest, so no recursion depth grows with them
+        digits = []
+        m = n
+        while m >= b:
+            m, r = divmod(m, b)
+            digits.append(r)
+        f = complex(sum(head[:m]))
+        u = head[m]  # u(M) at the current prefix M; m >= 1 once n >= B
+        for r in reversed(digits):
+            f = fb + (f - head[0]) * s_total
+            # G(0) = 0, so a zero digit adds no u(M) term.  F(B), a sum from
+            # +0.0, has no -0.0 part, nor has f here, so adding the term's
+            # zeros for a finite u(M) would change no bit
+            if r:
+                f += u * g[r]
+            u *= v[r]
+        sums.append(f)
+    return sums
+
+
 def partial_sum_recursive(
     profile: RecursionProfile, seq: ExponentSeq, n: int
 ) -> complex:
     """F(n) via the digit-peeling recursion; equals partial_sum_direct."""
-    n = check_nonnegative(n)
-    b = profile.base
-    _spot_check(profile, seq, n)
-    head = [seq.value(k) for k in range(b)]  # u(0), ..., u(B-1)
-    fb = complex(sum(head))
-    s_total = profile.v_total
-    g = profile.v_prefix
-    # the digit prefixes n // B, n // B**2, ... down to the first one below
-    # B, each with the digit it drops, one divmod each; unwound from the
-    # shortest, so no recursion depth grows with the digits
-    levels = []
-    m = n
-    while m >= b:
-        m, r = divmod(m, b)
-        levels.append((m, r))
-    f = complex(sum(head[:m]))
-    for m, r in reversed(levels):
-        f = fb + (f - head[0]) * s_total
-        # G(0) = 0, so a zero digit adds no u(M) term.  F(B), a sum from
-        # +0.0, has no -0.0 part, nor has f here, so adding the term's zeros
-        # for a finite u(M) would change no bit
-        if r:
-            f += seq.value(m) * g[r]
-    return f
+    return _partial_sums(profile, seq, [n])[0]
+
+
+def _log_abs(f: complex) -> float:
+    """log|f|, also for a finite f whose modulus exceeds the float range."""
+    try:
+        return log(abs(f))
+    except OverflowError:
+        return log(abs(f * 0.5)) + log(2.0)
 
 
 @dataclass(frozen=True)
@@ -115,10 +137,10 @@ def growth_check(profile: RecursionProfile, seq: ExponentSeq, checkpoints) -> Gr
     if pts[0] < 1:
         raise ValidationError(f"checkpoints must be >= 1, got {pts[0]}")
     alpha = profile.alpha
-    sums = tuple(partial_sum_recursive(profile, seq, p) for p in pts)
+    sums = tuple(_partial_sums(profile, seq, pts))
     # in logs, since p**alpha needs p as a float and overflows past ~1.8e308;
     # alpha >= 1/2, so a finite F gives a finite ratio
-    ratios = tuple(exp(log(abs(f)) - alpha * log(p)) if f else 0.0
+    ratios = tuple(exp(_log_abs(f) - alpha * log(p)) if f else 0.0
                    for f, p in zip(sums, pts))
     q1 = max(1, len(pts) // 4)
     early = max(ratios[:q1])

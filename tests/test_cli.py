@@ -508,6 +508,18 @@ def test_cli_summatory_first_non_finite_partial_sum_is_named(capsys):
     assert captured.err == "error: partial sum F(N) is not finite at N = 2**1032\n"
 
 
+def test_cli_summatory_modulus_overflowing_a_float_exit_2(capsys):
+    # F(2**3821) = -1.217e308 + 1.544e308i is finite, but |F| is no float
+    code = main(["summatory", "--spec", "base=2; exponent=digit_sum_pow(-0.2+0.9i)",
+                 "--terms", str(2**4000)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: |F(N)| overflows a float at N = 2**3821")
+
+
 @pytest.mark.parametrize("output, expected", [
     ("csv", "N,re_F,im_F,abs_F,ratio\n"), ("json", "[]\n")], ids=["csv", "json"])
 @pytest.mark.parametrize("terms", ["0", "3"])
