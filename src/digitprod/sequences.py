@@ -7,8 +7,9 @@ numbers and in vectorized blocks for the product and summatory machinery:
   value at n is the product of table values over the base-B digits of n.
 * ``DigitStatPower``: u(n) = w ** stat(n) for a digit statistic, with
   0**0 := 1.
-* ``PeriodicPower``: u(n) = omega**n for omega = exp(2*pi*i*p/q), computed
-  as exp(2*pi*i*p*(n mod q)/q) so that periodicity is exact.
+* ``PeriodicPower``: u(n) = omega**n for omega = exp(2*pi*i*p/q), with p/q
+  kept in lowest terms, computed as exp(2*pi*i*p*(n mod q)/q) so that
+  periodicity is exact and q is the sequence's period.
 * ``SignedResidue``: u(n) = signs[n mod period], a plain periodic table.
 
 ``value(n)`` takes one Python int n >= 0 of any size and raises
@@ -18,10 +19,10 @@ check its sign: every caller passes a range from 0.
 ``recursion_profile`` extracts the data (v(0..B-1), n0) of the weak digit
 recursion u(B*n + k) = u(n) * v(k) for n >= 1, verifies it on a range, and
 derives the partial sums of v and the growth exponent used by the tail
-models downstream.  It also certifies, from the sequence's type and
-parameters alone, whether the checked range proves the recursion for every
-n >= 1 (``RecursionProfile.certified``); by default it checks only the
-window that does.
+models downstream.  It returns a profile only when the checked range proves
+the recursion for every n >= 1, which the sequence's type and parameters
+decide (``_certifying_window``); by default it checks only the window that
+does.  So every ``RecursionProfile`` is a proof, and no consumer checks it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import inf, log
+from math import gcd, inf, log
 
 import numpy as np
 
@@ -225,7 +226,7 @@ class DigitStatPower:
 
 @dataclass(frozen=True)
 class PeriodicPower:
-    """u(n) = omega**n with omega = exp(2*pi*i*p/q)."""
+    """u(n) = omega**n with omega = exp(2*pi*i*p/q), p/q in lowest terms."""
 
     base: int
     q: int
@@ -236,8 +237,9 @@ class PeriodicPower:
         q, p = int(q), int(p)
         if not q > p > 0:
             raise ValidationError(f"need q > p > 0, got q={q}, p={p}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        g = gcd(q, p)
+        object.__setattr__(self, "q", q // g)
+        object.__setattr__(self, "p", p // g)
 
     @cached_property
     def is_real(self) -> bool:
@@ -349,14 +351,14 @@ class RecursionProfile:
     """Verified data of the digit recursion u(B*n + k) = u(n) * v(k), n >= 1.
 
     The fields are what ``recursion_profile`` measured: the multipliers
-    ``v``, the seed ``n0`` they were read at, whether |u| <= 1 held on the
-    checked window [0, ``checked``], and ``certified``, True when the
-    recursion checked there provably holds for every n >= 1.  The rest
-    derives from ``v``, so it cannot disagree with it: ``v_prefix``, the
-    partial sums (0, v(0), v(0)+v(1), ...); ``v_total``, their last entry,
-    whose modulus stays below ``base`` for the products downstream to
-    converge; ``alpha``, the growth exponent of the partial sums of u, 1/2
-    when |v_total| <= 1, else log|v_total| / log base; and ``v_bounded``.
+    ``v``, the seed ``n0`` they were read at, and whether |u| <= 1 held on
+    the checked window [0, ``checked``], which proves the recursion for
+    every n >= 1.  The rest derives from ``v``, so it cannot disagree with
+    it: ``v_prefix``, the partial sums (0, v(0), v(0)+v(1), ...);
+    ``v_total``, their last entry, whose modulus stays below ``base`` for
+    the products downstream to converge; ``alpha``, the growth exponent of
+    the partial sums of u, 1/2 when |v_total| <= 1, else
+    log|v_total| / log base; and ``v_bounded``.
     """
 
     base: int
@@ -364,7 +366,6 @@ class RecursionProfile:
     n0: int
     u_bounded: bool
     checked: int
-    certified: bool = False
 
     @cached_property
     def v_prefix(self) -> tuple[complex, ...]:
@@ -388,15 +389,6 @@ class RecursionProfile:
             raise ValidationError("sequence values exceed modulus 1")
         if not self.v_bounded:
             raise ValidationError("recursion multipliers v(k) exceed modulus 1")
-
-    def require_certified(self) -> None:
-        """Raise HypothesisFailed unless the recursion holds for every n >= 1."""
-        if not self.certified:
-            raise HypothesisFailed(reason=(
-                f"the base-{self.base} digit recursion is checked on "
-                f"[0, {self.checked}] only, and the sequence's type does not "
-                "extend it to every n >= 1"
-            ))
 
 
 def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
@@ -450,8 +442,9 @@ def recursion_profile(
     them.  The window's values are computed once: v(k) = u(B*n0 + k) / u(n0)
     is read from them and the recursion checked on all of them.  Raises
     ValidationError when one is not finite, else NoNonzeroSeed when no seed
-    is found, HypothesisFailed when the recursion breaks, and
-    ConvergenceHypothesisViolated when |sum v(k)| >= base.
+    is found, HypothesisFailed when the recursion breaks,
+    ConvergenceHypothesisViolated when |sum v(k)| >= base, and
+    HypothesisFailed when the checked window does not certify the recursion.
     """
     b = check_base(base if base is not None else seq.base)
     hi = b + 64 * b  # the last seed candidate
@@ -490,7 +483,6 @@ def recursion_profile(
         n0=n0,
         u_bounded=bool(np.abs(u).max() <= 1.0 + CHECK_TOL),
         checked=limit,
-        certified=window is not None and limit >= window,
     )
     total = abs(profile.v_total)
     if total >= b - 1e-9:
@@ -498,4 +490,9 @@ def recursion_profile(
             f"|sum of v(k)| = {total:.6g} >= base {b}; "
             "the associated products may diverge"
         )
+    if window is None or window > limit:
+        raise HypothesisFailed(reason=(
+            f"the base-{b} digit recursion is checked on [0, {limit}] only, "
+            "and the sequence's type does not extend it to every n >= 1"
+        ))
     return profile

@@ -216,8 +216,9 @@ def test_refusals_come_before_series_work(monkeypatch):
 
 def test_digit_families_certified_in_powers_of_their_base():
     tm = thue_morse_seq()
-    assert recursion_profile(tm, base=2).certified
-    assert recursion_profile(tm, base=8).certified
+    # a profile is returned only where its window proves the recursion
+    assert recursion_profile(tm, base=2).base == 2
+    assert recursion_profile(tm, base=8).base == 8
     seq = DigitStatPower(4, 1j, DigitStat.count(1))
     for base, certified in ((4, True), (16, True), (2, False), (8, False), (12, False)):
         # the type alone proves the recursion there: no window is needed
@@ -225,26 +226,67 @@ def test_digit_families_certified_in_powers_of_their_base():
 
 
 def test_periodic_families_certified_over_one_period():
-    seq = PeriodicPower(5, 8, 2)  # i**n: the recursion holds in base 5
-    assert recursion_profile(seq, base=5).certified
-    # [0, 30] holds n = 1..5 for every k, not a full period 8 plus one
-    assert not recursion_profile(seq, limit=25, base=5).certified
-    assert recursion_profile(SignedResidue(3, (1.0, -1.0)), base=3).certified
+    seq = PeriodicPower(5, 8, 2)  # i**n, kept as 1/4: the recursion holds in base 5
+    assert (seq.q, seq.p) == (4, 1)
+    # [0, 30] holds n = 1..5 for every k: a full period 4 plus one
+    assert recursion_profile(seq, limit=25, base=5).checked == 30
+    assert recursion_profile(SignedResidue(3, (1.0, -1.0)), base=3).checked == 12
+
+
+def test_explicit_window_that_does_not_certify_is_refused():
+    seq = SignedResidue(3, (1.0, -1.0) * 5)  # period 10: certified on [0, 35]
+    assert recursion_profile(seq, base=3).checked == 35
+    # [0, 12] holds n = 1..4 for every k, not a full period 10 plus one
+    with pytest.raises(HypothesisFailed, match=r"checked on \[0, 12\] only"):
+        recursion_profile(seq, 12, base=3)
 
 
 def test_window_passing_periodic_spec_is_refused():
     seq = _tm_repeating(8192)
-    profile = recursion_profile(seq, base=2)  # the 4096-value window passes
-    # a period-8192 window, 2*8193 + 1, exceeds max(4096, B*(B+1)), so the
-    # default window stays that one
-    assert (profile.checked, profile.certified) == (4096, False)
+    # the recursion holds on the default window [0, 4096], but a period-8192
+    # window, 2*8193 + 1, exceeds max(4096, B*(B+1)): no window proves it
+    with pytest.raises(HypothesisFailed, match=r"checked on \[0, 4096\] only"):
+        recursion_profile(seq, base=2)
     with pytest.raises(HypothesisFailed):
         recursion_profile(seq, limit=3 * 8192, base=2)  # it breaks beyond
     spec = ProductSpec(2, [Factor(1, 1.0)], seq)
     with pytest.raises(HypothesisFailed):
         evaluate_moments(spec, 10**6)
-    # the direct path is not guarded by the certificate
-    assert evaluate_abel(spec, 10**4).method == "abel"
+    # the summation-by-parts bound needs the recursion for every n as well
+    with pytest.raises(HypothesisFailed):
+        evaluate_abel(spec, 10**4)
+
+
+def test_abel_refuses_the_recursion_its_bound_would_miss():
+    # the period-8192 sequence equal to Thue-Morse on [0, 4100), then 2046
+    # values +1 and 2046 values -1: every window of the default size passes,
+    # and a bound built on it read 1e-8 against a true error of 2.4e-2
+    u = thue_morse_seq().block(np.arange(4100, dtype=np.int64)).tolist()
+    seq = SignedResidue(2, u + [1.0] * 2046 + [-1.0] * 2046)
+    spec = ProductSpec(2, [Factor(1, 1.0)], seq)
+    with pytest.raises(HypothesisFailed):
+        recursion_profile(seq, base=2)
+    with pytest.raises(HypothesisFailed):
+        evaluate_abel(spec, 10**4)
+    with pytest.raises(HypothesisFailed):
+        evaluate_moments(spec, 10**6)
+
+
+def test_periodic_pow_is_kept_in_lowest_terms():
+    assert PeriodicPower(3, 10000, 5000) == PeriodicPower(3, 2, 1)
+    assert PeriodicPower(5, 8, 6) == PeriodicPower(5, 4, 3)
+
+
+def test_cli_eval_reduces_periodic_pow(capsys):
+    # the same (-1)**n: its period is 2, not 10000
+    for method in ("moments", "abel"):
+        outs = []
+        for exponent in ("periodic_pow(10000,5000)", "periodic_pow(2,1)"):
+            argv = ["eval", "--spec", f"base=3; exponent={exponent}; factors=1",
+                    "--method", method, "--terms", "1000", "--output", "json"]
+            assert cli.main(argv) == 0, (method, exponent)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], method
 
 
 def test_cli_moments_refuses_uncertified_spec_exit_3(monkeypatch, capsys):

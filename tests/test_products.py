@@ -2,12 +2,14 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from digitprod.digits import DigitStat, thue_morse
-from digitprod.errors import ConvergenceHypothesisViolated, DomainError, ValidationError
+from digitprod.errors import (ConvergenceHypothesisViolated, DomainError, HypothesisFailed,
+                              ValidationError)
 from digitprod import products
 from digitprod.identities import catalog
 from digitprod.products import (
@@ -23,6 +25,8 @@ from digitprod.sequences import (
     PeriodicPower,
     SignedResidue,
     StronglyMultiplicative,
+    recursion_deviation,
+    recursion_profile,
     thue_morse_seq,
 )
 from trick_checks import residue_split_check, telescoping_check
@@ -222,14 +226,17 @@ def test_residue_split_digit_sum_base3():
     assert rep.passed
 
 
-def test_residue_split_reports_a_break_beyond_the_profile_window():
+def test_residue_split_refuses_a_window_that_does_not_certify():
     # Thue-Morse repeated with period 8192: u(2n + k) = u(n) v(k) holds on
-    # the profile's window [0, 4096] and first breaks where 2n + k wraps
+    # the default window [0, 4096], which does not prove it for every n, and
+    # first breaks where 2n + k wraps
     seq = SignedResidue(2, [thue_morse(n) for n in range(8192)])
-    rep = residue_split_check(seq, 3 * 8192)
-    assert not rep.passed
-    assert rep.substitution_dev == 2.0
-    assert rep.split_dev <= 1e-12
+    with pytest.raises(HypothesisFailed):
+        residue_split_check(seq, 3 * 8192)
+    u = seq.block(np.arange(2 * 3 * 8192, dtype=np.int64))
+    sub_dev, first = recursion_deviation(u, recursion_profile(thue_morse_seq()).v, 1)
+    assert sub_dev == 2.0
+    assert first[0] == 4096
 
 
 @pytest.mark.parametrize("n_limit", [1, 2**19 + 5])

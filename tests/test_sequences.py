@@ -182,11 +182,11 @@ def test_power_chain_matches_a_table_from_w0(w):
 @pytest.mark.parametrize("q", range(2, 13))
 def test_periodic_value_matches_its_table(q):
     # value() reads a cached tuple; it must give the bits that converting
-    # the block table's entry gives
+    # the block table's entry gives.  The table has the reduced period seq.q
     for p in range(1, q):
         seq = PeriodicPower(3, q, p)
         for n in range(2 * q):
-            got, want = seq.value(n), complex(seq._table[n % q])
+            got, want = seq.value(n), complex(seq._table[n % seq.q])
             assert type(got) is complex
             assert np.array([got]).view(np.int64).tolist() == (
                 np.array([want]).view(np.int64).tolist()
@@ -314,7 +314,7 @@ def test_default_window_grows_to_a_seed_at_twice_the_base(base):
     assert prof.n0 == 2 * base
     assert prof.checked == base * prof.n0 + base - 1
     assert prof.v == tuple(complex(k != 1) for k in range(base))
-    assert prof.certified and prof.u_bounded
+    assert prof.u_bounded  # returned: the window [0, checked] proves the recursion
     # an explicit window is searched only as far as it holds B*n0 + B - 1:
     # the former default one still finds no seed
     old_default = max(4096, base * (base + 1))
@@ -444,9 +444,8 @@ _WINDOW_CASES = {
 
 @pytest.mark.parametrize("seq, base", list(_WINDOW_CASES), ids=list(_WINDOW_CASES.values()))
 def test_certifying_window_changes_nothing_else(seq, base):
-    prof = recursion_profile(seq, base=base)
+    prof = recursion_profile(seq, base=base)  # returned: its window certifies it
     old = _old_default_window(seq, base, prof.n0)
-    assert prof.certified
     assert dataclasses.replace(prof, checked=old.checked) == old
     assert prof.checked <= old.checked
 

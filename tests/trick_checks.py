@@ -80,8 +80,9 @@ def residue_split_check(seq: ExponentSeq, n_limit: int) -> SplitReport:
     Both sides enumerate the same terms m in [1, B*n_limit), each summed in
     one pass, so the deviation is at float level.  The substitution u(B*n + k)
     = u(n) * v(k) is checked over the same block, with v from
-    ``recursion_profile`` at its default window: a break inside that window
-    raises HypothesisFailed, one beyond it fails the report.
+    ``recursion_profile`` at its default window, which proves the recursion
+    for every n >= 1: a sequence whose recursion breaks in that window, or
+    whose type does not extend the window to every n, raises HypothesisFailed.
     """
     b = seq.base
     if n_limit < 1:
