@@ -16,7 +16,6 @@ from .errors import (
     DigitprodError,
     DomainError,
     HypothesisFailed,
-    NoNonzeroSeed,
     ParseError,
     ProfileMismatch,
     ValidationError,

@@ -37,7 +37,6 @@ from .errors import (
     ConvergenceHypothesisViolated,
     DigitprodError,
     HypothesisFailed,
-    NoNonzeroSeed,
     ParseError,
     ProfileMismatch,
     ValidationError,
@@ -590,8 +589,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (ConvergenceHypothesisViolated, NoNonzeroSeed, HypothesisFailed,
-            ProfileMismatch) as exc:
+    except (ConvergenceHypothesisViolated, HypothesisFailed, ProfileMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT
     except (DigitprodError, OSError) as exc:

@@ -30,18 +30,13 @@ class BalanceError(ValidationError):
     """Gamma-quotient parameter sums differ (the limit formula needs them equal)."""
 
 
-class NoNonzeroSeed(DigitprodError):
-    """No nonzero sequence value was found in the seed search window.
-
-    Signals the 1, 0, 0, ... sequence, or a search window that is too short.
-    """
-
-
 class HypothesisFailed(DigitprodError):
     """The digit recursion u(B*n + k) = u(n) * v(k) fails for some n >= 1.
 
-    With ``reason`` (and no n, k or deviation) it is not known to hold for
-    every n >= 1, which a method relying on all digit levels must refuse.
+    With ``reason`` (and no n, k or deviation) no window allowed proves it
+    for every n >= 1: a digit family in a base that is no power of its own,
+    or a period too long.  That is decided from the sequence's type, before
+    any value is computed.
     """
 
     def __init__(self, n: int | None = None, k: int | None = None,

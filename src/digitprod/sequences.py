@@ -19,10 +19,12 @@ check its sign: every caller passes a range from 0.
 ``recursion_profile`` extracts the data (v(0..B-1), n0) of the weak digit
 recursion u(B*n + k) = u(n) * v(k) for n >= 1, verifies it on a range, and
 derives the partial sums of v and the growth exponent used by the tail
-models downstream.  It returns a profile only when the checked range proves
-the recursion for every n >= 1, which the sequence's type and parameters
-decide (``_certifying_window``); by default it checks only the window that
-does.  So every ``RecursionProfile`` is a proof, and no consumer checks it.
+models downstream.  The sequence's type and parameters decide first which
+window proves the recursion for every n >= 1 (``_certifying_window``); when
+none does, or only one longer than allowed, it refuses before computing any
+value.  Otherwise it checks that window, reading v at the first nonzero
+u(n0), n0 in [1, B).  So every ``RecursionProfile`` is a proof, and no
+consumer checks it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .digits import (DigitStat, _stat_record, check_base, check_nonnegative,
 from .errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
-    NoNonzeroSeed,
     ValidationError,
 )
 
@@ -266,7 +267,11 @@ class PeriodicPower:
 
 @dataclass(frozen=True)
 class SignedResidue:
-    """u(n) = signs[n mod period]; covers hand-written periodic exponents."""
+    """u(n) = signs[n mod period]; covers hand-written periodic exponents.
+
+    The table is kept at its least period: the shortest prefix whose
+    repetition gives it, compared by repr so that zero signs are kept.
+    """
 
     base: int
     signs: tuple[complex, ...]
@@ -276,7 +281,10 @@ class SignedResidue:
         vals = _as_complex_tuple(signs)
         if not vals:
             raise ValidationError("signs table must be nonempty")
-        object.__setattr__(self, "signs", vals)
+        keys = list(map(repr, vals))
+        period = next(p for p in range(1, len(keys) + 1)
+                      if len(keys) % p == 0 and keys == keys[:p] * (len(keys) // p))
+        object.__setattr__(self, "signs", vals[:period])
 
     @property
     def period(self) -> int:
@@ -351,7 +359,8 @@ class RecursionProfile:
     """Verified data of the digit recursion u(B*n + k) = u(n) * v(k), n >= 1.
 
     The fields are what ``recursion_profile`` measured: the multipliers
-    ``v``, the seed ``n0`` they were read at, and whether |u| <= 1 held on
+    ``v``, the seed ``n0`` they were read at (the first n in [1, B) with
+    u(n) != 0, or 1 when u vanishes there), and whether |u| <= 1 held on
     the checked window [0, ``checked``], which proves the recursion for
     every n >= 1.  The rest derives from ``v``, so it cannot disagree with
     it: ``v_prefix``, the partial sums (0, v(0), v(0)+v(1), ...);
@@ -411,19 +420,6 @@ def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
     return base * (period + 1) + base - 1
 
 
-def _window_values(seq: ExponentSeq, limit: int) -> np.ndarray:
-    """u(0), ..., u(limit); ValidationError at the first value that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = seq.block(np.arange(limit + 1, dtype=np.int64))
-    not_finite = np.flatnonzero(~np.isfinite(u))
-    if not_finite.size:
-        n_bad = int(not_finite[0])
-        raise ValidationError(
-            f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
-        )
-    return u
-
-
 def recursion_profile(
     seq: ExponentSeq,
     limit: int | None = None,
@@ -433,45 +429,52 @@ def recursion_profile(
 
     ``base`` defaults to the sequence's own base but may differ (a sequence
     can satisfy the recursion in a higher base as well).  An explicit window
-    [0, limit] must reach base**2.  ``None`` picks the least window that
-    certifies the recursion (``_certifying_window``) and holds [0, B*(B+1)];
-    max(4096, B*(B+1)) when that one is larger or the type certifies none.
-    The seed n0 is the first n in [B, 65*B] whose value(n) is not within
-    CHECK_TOL of 0 (one that is not finite counts) and, for an explicit
-    window, whose multiples B*n + k, k < B, it holds; a default one grows to
-    them.  The window's values are computed once: v(k) = u(B*n0 + k) / u(n0)
-    is read from them and the recursion checked on all of them.  Raises
-    ValidationError when one is not finite, else NoNonzeroSeed when no seed
-    is found, HypothesisFailed when the recursion breaks,
-    ConvergenceHypothesisViolated when |sum v(k)| >= base, and
-    HypothesisFailed when the checked window does not certify the recursion.
+    [0, limit] must reach base**2 and is widened to [0, B*(B+1)].  Before any
+    value is computed, the sequence's type decides whether a window proves
+    the recursion for every n >= 1 (``_certifying_window``): HypothesisFailed
+    when none does, or when that window is longer than the one allowed,
+    max(limit, B*(B+1)) or by default max(4096, B*(B+1)).  ``None`` then
+    checks the least window that certifies it and holds [0, B*(B+1)].  The
+    window's values are computed once.  The seed n0 is the first n in [1, B)
+    with u(n) != 0, and v(k) = u(B*n0 + k) / u(n0); when u vanishes on
+    [1, B), n0 = 1 and v = 0, which the check confirms only if u(n) = 0 for
+    every n >= 1.  Raises ValidationError at the first value that is not
+    finite, HypothesisFailed when the recursion breaks on the window, and
+    ConvergenceHypothesisViolated when |sum v(k)| >= base.
     """
     b = check_base(base if base is not None else seq.base)
-    hi = b + 64 * b  # the last seed candidate
-    window = _certifying_window(seq, b)
-    if limit is None:
-        limit = max(4096, b * (b + 1))
-        if window is not None and window <= limit:
-            limit = max(window, b * (b + 1))
-    else:
+    if limit is not None:
         limit = int(limit)
         if limit < b * b:
             raise ValidationError(f"limit must be >= base**2, got {limit} < {b * b}")
-        # reading v(0..B-1) off a seed n0 >= B needs values up to B*n0 + B - 1
-        limit = max(limit, b * (b + 1))
-        hi = min((limit - b + 1) // b, hi)
+    # a window of B*(B+1) or more holds n = 1 .. B for every k, and with them
+    # every u(B*n0 + k) that v is read from
+    allowed = max(4096 if limit is None else limit, b * (b + 1))
+    window = _certifying_window(seq, b)
+    if window is None:
+        raise HypothesisFailed(
+            reason=f"a base-{seq.base} digit family has no digit recursion in base {b}")
+    if window > allowed:
+        raise HypothesisFailed(reason=(
+            f"the base-{b} digit recursion can be checked on [0, {allowed}] only, "
+            f"and proving it for every n >= 1 needs [0, {window}]"
+        ))
+    limit = max(window, b * (b + 1)) if limit is None else allowed
 
-    n0 = next((n for n in range(b, hi + 1) if not abs(seq.value(n)) <= CHECK_TOL), None)
-    if n0 is None:
-        _window_values(seq, limit)  # a value that is not finite is reported first
-        raise NoNonzeroSeed(
-            f"no nonzero value in seed window [{b}, {hi}] "
-            "(sequence may be 1, 0, 0, ... or the window too short)"
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = seq.block(np.arange(limit + 1, dtype=np.int64))
+    not_finite = np.flatnonzero(~np.isfinite(u))
+    if not_finite.size:
+        n_bad = int(not_finite[0])
+        raise ValidationError(
+            f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
         )
-    limit = max(limit, b * n0 + b - 1)  # grows only a default window
-    u = _window_values(seq, limit)
-    with np.errstate(over="ignore"):  # a v(k) that overflows reaches the checks as inf
-        v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
+    n0 = next((n for n in range(1, b) if u[n] != 0), None)
+    if n0 is None:  # u(n) = 0 for every n >= 1, if the recursion holds
+        n0, v = 1, (0j,) * b
+    else:
+        with np.errstate(over="ignore"):  # a v(k) that overflows reaches the checks as inf
+            v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
 
     _, first = recursion_deviation(u, v, 1)
     if first is not None:
@@ -490,9 +493,4 @@ def recursion_profile(
             f"|sum of v(k)| = {total:.6g} >= base {b}; "
             "the associated products may diverge"
         )
-    if window is None or window > limit:
-        raise HypothesisFailed(reason=(
-            f"the base-{b} digit recursion is checked on [0, {limit}] only, "
-            "and the sequence's type does not extend it to every n >= 1"
-        ))
     return profile

@@ -18,7 +18,6 @@ from digitprod.digits import DigitStat, digits_of
 from digitprod.errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
-    NoNonzeroSeed,
     ValidationError,
 )
 from digitprod.gammaproducts import (
@@ -207,7 +206,7 @@ def _random_recursion_family(rng, count):
                 seq = SignedResidue(b, (1.0, -1.0))
             profile = recursion_profile(seq, 4096)
             profile.require_unit_bounds()
-        except (ConvergenceHypothesisViolated, NoNonzeroSeed, HypothesisFailed,
+        except (ConvergenceHypothesisViolated, HypothesisFailed,
                 ValidationError):
             continue
         out.append((seq, profile))

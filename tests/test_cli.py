@@ -553,9 +553,9 @@ def test_cli_summatory_bare_thue_morse_takes_the_stated_base(capsys, factors):
 
 
 @pytest.mark.parametrize("exponent, message", [
-    ("base=5; exponent=periodic_pow(3,1)", "digit recursion fails at n=1, k=0 (deviation 1.732e+00)"),
-    ("base=3; exponent=thue_morse", "digit recursion fails at n=1, k=0 (deviation 2.000e+00)"),
-    ("base=2; exponent=digit_sum_pow(0)", "no nonzero value in seed window [2, 130]"),
+    # v is read at n0 = 1, so the recursion first breaks at n = 2
+    ("base=5; exponent=periodic_pow(3,1)", "digit recursion fails at n=2, k=0 (deviation 1.732e+00)"),
+    ("base=3; exponent=thue_morse", "a base-2 digit family has no digit recursion in base 3"),
 ])
 def test_cli_sequences_without_a_usable_recursion_exit_3(capsys, exponent, message):
     for argv in (["eval", "--method", "moments", "--spec", f"{exponent}; factors=1",
@@ -565,6 +565,28 @@ def test_cli_sequences_without_a_usable_recursion_exit_3(capsys, exponent, messa
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("method", ["moments", "abel", "naive"])
+def test_cli_eval_one_then_zeros_is_one_half(capsys, method):
+    # u = 1, 0, 0, ...: the product is its n = 0 factor, 1/2, and its digit
+    # recursion holds with v = 0
+    spec = "base=2; exponent=count_digit_pow(0,1); factors=1"
+    code, out = run(capsys, ["eval", "--spec", spec, "--method", method,
+                             "--terms", "1000", "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["log_re"] == -math.log(2) and payload["log_im"] == 0.0
+    assert abs(payload["log_re"] + math.log(2)) <= payload["err_est"]
+
+
+def test_cli_summatory_one_then_zeros(capsys):
+    code, out = run(capsys, ["summatory", "--spec", "base=2; exponent=digit_sum_pow(0)",
+                             "--terms", "1000"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [2**j for j in range(1, 10)]
+    assert all(row[1:4] == ["1.0", "0.0", "1.0"] for row in rows)
 
 
 def test_cli_eval_abstract_example_base_3(capsys):

@@ -6,6 +6,7 @@ closed forms; the direct sum at 10**6 is the independent low-precision oracle.
 """
 
 import cmath
+import re
 import time
 
 import numpy as np
@@ -233,12 +234,22 @@ def test_periodic_families_certified_over_one_period():
     assert recursion_profile(SignedResidue(3, (1.0, -1.0)), base=3).checked == 12
 
 
+def _tm_then_runs() -> SignedResidue:
+    # the period-8192 sequence equal to Thue-Morse on [0, 4100), then 2046
+    # values +1 and 2046 values -1
+    u = thue_morse_seq().block(np.arange(4100, dtype=np.int64)).tolist()
+    return SignedResidue(2, u + [1.0] * 2046 + [-1.0] * 2046)
+
+
 def test_explicit_window_that_does_not_certify_is_refused():
-    seq = SignedResidue(3, (1.0, -1.0) * 5)  # period 10: certified on [0, 35]
-    assert recursion_profile(seq, base=3).checked == 35
-    # [0, 12] holds n = 1..4 for every k, not a full period 10 plus one
-    with pytest.raises(HypothesisFailed, match=r"checked on \[0, 12\] only"):
-        recursion_profile(seq, 12, base=3)
+    seq = _tm_then_runs()  # period 8192: certified on [0, 16387]
+    # [0, 4096] holds n = 1..2047 for every k, not a full period 8192 plus one
+    message = "checked on [0, 4096] only, and proving it for every n >= 1 needs [0, 16387]"
+    with pytest.raises(HypothesisFailed, match=re.escape(message)):
+        recursion_profile(seq, 4096, base=2)
+    # the certifying window is checked, and the recursion breaks inside it
+    with pytest.raises(HypothesisFailed, match=r"fails at n=2050, k=1"):
+        recursion_profile(seq, 16387, base=2)
 
 
 def test_window_passing_periodic_spec_is_refused():
@@ -258,11 +269,9 @@ def test_window_passing_periodic_spec_is_refused():
 
 
 def test_abel_refuses_the_recursion_its_bound_would_miss():
-    # the period-8192 sequence equal to Thue-Morse on [0, 4100), then 2046
-    # values +1 and 2046 values -1: every window of the default size passes,
-    # and a bound built on it read 1e-8 against a true error of 2.4e-2
-    u = thue_morse_seq().block(np.arange(4100, dtype=np.int64)).tolist()
-    seq = SignedResidue(2, u + [1.0] * 2046 + [-1.0] * 2046)
+    # every window of the default size passes, and a bound built on it read
+    # 1e-8 against a true error of 2.4e-2
+    seq = _tm_then_runs()
     spec = ProductSpec(2, [Factor(1, 1.0)], seq)
     with pytest.raises(HypothesisFailed):
         recursion_profile(seq, base=2)
@@ -275,6 +284,18 @@ def test_abel_refuses_the_recursion_its_bound_would_miss():
 def test_periodic_pow_is_kept_in_lowest_terms():
     assert PeriodicPower(3, 10000, 5000) == PeriodicPower(3, 2, 1)
     assert PeriodicPower(5, 8, 6) == PeriodicPower(5, 4, 3)
+
+
+def test_signed_residue_is_kept_at_its_least_period():
+    seq = SignedResidue(3, (1.0, -1.0) * 3000)  # (-1)**n, given over 6000 entries
+    assert seq.signs == (1.0, -1.0) and seq.period == 2
+    # zero signs tell entries apart; a table that is no repetition stays
+    assert SignedResidue(3, (0.0, -0.0) * 2).signs == (0.0, -0.0)
+    assert repr(SignedResidue(3, (0.0, -0.0) * 2).value(1)) == "(-0+0j)"
+    assert SignedResidue(3, (1.0, -1.0, 1.0)).period == 3
+    got = evaluate_moments(ProductSpec(3, [Factor(1)], seq), 1000)
+    want = evaluate_moments(ProductSpec(3, [Factor(1)], PeriodicPower(3, 2, 1)), 1000)
+    assert repr(got) == repr(want)
 
 
 def test_cli_eval_reduces_periodic_pow(capsys):

@@ -10,12 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from digitprod import sequences
 from digitprod.digits import DigitStat, digits_of
 from digitprod.errors import (
     ConvergenceHypothesisViolated,
     HypothesisFailed,
-    NoNonzeroSeed,
     ValidationError,
 )
 from digitprod.identities import catalog
@@ -300,46 +298,36 @@ def test_profile_rejects_digit_length():
 
 
 def test_profile_no_seed():
+    # u = 1, 0, 0, ...: no nonzero n in [1, B), so v = 0 read at n0 = 1, and
+    # the window confirms u(n) = 0 for every n >= 1
     silent = StronglyMultiplicative(3, (0.0, 0.0))
-    with pytest.raises(NoNonzeroSeed):
-        recursion_profile(silent, 4096)
+    prof = recursion_profile(silent, 4096)
+    assert (prof.n0, prof.v, prof.checked) == (1, (0j,) * 3, 4096)
+    assert prof.v_total == 0 and prof.alpha == 0.5
 
 
-@pytest.mark.parametrize("base", [63, 100])
-def test_default_window_grows_to_a_seed_at_twice_the_base(base):
-    # u(n) = 0 wherever digit 1 occurs, so u(B .. 2B - 1) = 0 and n0 = 2B,
-    # whose multiples B*n0 + k lie past max(4096, B*(B+1))
-    seq = DigitStatPower(base, 0, DigitStat.count(1))
+@pytest.mark.parametrize("seq, n0", [
+    (thue_morse_seq(), 1),
+    (DigitStatPower(100, 0, DigitStat.count(1)), 2),  # u(1) = 0, u(2) = 1
+    (DigitStatPower(63, 0, DigitStat.count(1)), 2),
+    (DigitStatPower(100, 0, DigitStat.count_set(range(1, 65))), 65),
+    (StronglyMultiplicative(5, (-0.0, 0.0, 1e-300, 0.5)), 3),  # zeros of both signs
+], ids=["tm_b2", "b100_u1_zero", "b63_u1_zero", "b100_first_at_65", "signed_zeros"])
+def test_seed_is_the_first_nonzero_value_below_the_base(seq, n0):
+    base = seq.base
     prof = recursion_profile(seq)
-    assert prof.n0 == 2 * base
-    assert prof.checked == base * prof.n0 + base - 1
-    assert prof.v == tuple(complex(k != 1) for k in range(base))
-    assert prof.u_bounded  # returned: the window [0, checked] proves the recursion
-    # an explicit window is searched only as far as it holds B*n0 + B - 1:
-    # the former default one still finds no seed
-    old_default = max(4096, base * (base + 1))
-    hi = (old_default - base + 1) // base
-    with pytest.raises(NoNonzeroSeed, match=rf"seed window \[{base}, {hi}\]"):
-        recursion_profile(seq, old_default)
-    assert recursion_profile(seq, prof.checked) == prof
-
-
-def test_default_window_reaches_65_times_the_base():
-    # the only nonzero seed candidate is the last one, 65*B
-    base = 100
-    seq = DigitStatPower(base, 0, DigitStat.count_set(range(1, 65)))
-    prof = recursion_profile(seq)
-    assert prof.n0 == 65 * base
-    assert prof.checked == base * prof.n0 + base - 1
-    beyond = DigitStatPower(base, 0, DigitStat.count_set(range(1, 66)))
-    with pytest.raises(NoNonzeroSeed, match=r"seed window \[100, 6500\]"):
-        recursion_profile(beyond)
+    assert prof.n0 == n0
+    assert prof.checked == base * (base + 1)  # the type proves it: no longer window
+    u = seq.block(np.arange(prof.checked + 1, dtype=np.int64))
+    assert u[n0] != 0 and not any(u[1:n0])
+    assert prof.v == tuple(complex(u[base * n0 + k] / u[n0]) for k in range(base))
+    # an explicit window [0, B**2], widened to [0, B*(B+1)], reads the same seed
+    assert recursion_profile(seq, base * base) == prof
 
 
 def test_seed_search_reports_a_value_that_is_not_finite_first():
-    # u(63 .. 125) = 0 (digit 1 present), u(126) = 1e200 and u(128) = inf: an
-    # explicit window searches [63, 78] and finds no seed, a default one
-    # finds n0 = 126; either way the window's value at n = 128 comes first
+    # u(1) = 0, u(2) = 1e200 and u(128) = u(2*63 + 2) = inf: the window's
+    # value at n = 128 is reported before any seed or v is read
     seq = StronglyMultiplicative(63, [0.0] + [1e200] * 61)
     message = "sequence value at n=128 is not finite (u = inf)"
     for limit in (5000, None):
@@ -356,23 +344,56 @@ _ONE_WINDOW_CASES = {
 }
 
 
+def _count_calls(monkeypatch, cls):
+    """Patch ``cls.value`` and ``cls.block`` to record their calls: one entry
+    per value() call, and the length of each block() call's range."""
+    calls = {"value": [], "block": []}
+    value, block = cls.value, cls.block
+
+    def counted_value(self, n):
+        calls["value"].append(n)
+        return value(self, n)
+
+    def counted_block(self, ns):
+        calls["block"].append(len(ns))
+        return block(self, ns)
+
+    monkeypatch.setattr(cls, "value", counted_value)
+    monkeypatch.setattr(cls, "block", counted_block)
+    return calls
+
+
 @pytest.mark.parametrize("seq, base, limit", list(_ONE_WINDOW_CASES.values()),
                          ids=list(_ONE_WINDOW_CASES))
 def test_profile_computes_its_window_once(seq, base, limit, monkeypatch):
-    windows = []
-    window_values = sequences._window_values
-
-    def counted(seq, limit):
-        windows.append(limit)
-        return window_values(seq, limit)
-
-    monkeypatch.setattr(sequences, "_window_values", counted)
+    calls = _count_calls(monkeypatch, type(seq))
     try:
         prof = recursion_profile(seq, limit, base=base)
-    except HypothesisFailed:  # thue_morse in base 3 breaks, after its one window
+    except HypothesisFailed:  # thue_morse has no recursion in base 3
         prof = None
-    assert len(windows) == 1
-    assert prof is None or windows == [prof.checked]
+    assert calls["value"] == []
+    assert calls["block"] == ([] if prof is None else [prof.checked + 1])
+
+
+@pytest.mark.parametrize("seq, base, limit, message", [
+    (thue_morse_seq(), 3, None, "a base-2 digit family has no digit recursion in base 3"),
+    (thue_morse_seq(), 6, 5000, "a base-2 digit family has no digit recursion in base 6"),
+    (DigitStatPower(3, -1, DigitStat.count(1)), 2, None,
+     "a base-3 digit family has no digit recursion in base 2"),
+    (StronglyMultiplicative(4, (0.5, 0.0, 1e308)), 8, 64,
+     "a base-4 digit family has no digit recursion in base 8"),
+    (SignedResidue(3, (1.0,) * 5 + (-1.0,) * 5), 3, 12,  # period 10
+     "checked on [0, 12] only, and proving it for every n >= 1 needs [0, 35]"),
+    (PeriodicPower(2, 4099, 1), 2, None,
+     "checked on [0, 4096] only, and proving it for every n >= 1 needs [0, 8201]"),
+], ids=["tm_b3", "tm_b6_explicit", "b3_family_b2", "b4_table_b8", "explicit_short",
+        "default_short"])
+def test_uncertifiable_pairs_are_refused_before_any_value(seq, base, limit, message,
+                                                          monkeypatch):
+    calls = _count_calls(monkeypatch, type(seq))
+    with pytest.raises(HypothesisFailed, match=re.escape(message)):
+        recursion_profile(seq, limit, base=base)
+    assert calls == {"value": [], "block": []}
 
 
 def test_recursion_rule_is_relative_above_modulus_one():
@@ -409,19 +430,19 @@ def test_complex_table_block_matches_value_bit_for_bit(values):
         assert [repr(complex(x)) for x in got] == [repr(seq.value(int(n))) for n in ns]
 
 
-def _old_default_window(seq, base, n0):
-    """The profile at max(4096, B*(B+1), B*n0 + B - 1), the default window of
-    every sequence before the certifying window became the default."""
-    return recursion_profile(seq, max(4096, base * (base + 1), base * n0 + base - 1),
-                             base=base)
+def _old_default_window(seq, base):
+    """The profile at max(4096, B*(B+1)), the default window of every
+    sequence before the certifying window became the default."""
+    return recursion_profile(seq, max(4096, base * (base + 1)), base=base)
 
 
 def test_default_window_certifies_a_seed_inside_it():
-    # n0 = 20 lies inside [0, B*(B+1)]; the window grows to its multiples only
+    # u(1) = 0, so n0 = 2; the type proves the recursion, and the window is
+    # the least one that holds every B*n0 + k, [0, B*(B+1)]
     seq = DigitStatPower(10, 0, DigitStat.count(1))
     prof = recursion_profile(seq)
-    assert (prof.n0, prof.checked) == (20, 209)
-    old = _old_default_window(seq, 10, prof.n0)
+    assert (prof.n0, prof.checked) == (2, 110)
+    old = _old_default_window(seq, 10)
     assert dataclasses.replace(prof, checked=old.checked) == old
 
 
@@ -445,21 +466,23 @@ _WINDOW_CASES = {
 @pytest.mark.parametrize("seq, base", list(_WINDOW_CASES), ids=list(_WINDOW_CASES.values()))
 def test_certifying_window_changes_nothing_else(seq, base):
     prof = recursion_profile(seq, base=base)  # returned: its window certifies it
-    old = _old_default_window(seq, base, prof.n0)
+    old = _old_default_window(seq, base)
     assert dataclasses.replace(prof, checked=old.checked) == old
     assert prof.checked <= old.checked
 
 
 def test_uncertifiable_sequences_keep_the_old_window_and_errors():
     # a periodic recursion that fails does so at n <= period, inside its
-    # certifying window; thue_morse has none in base 3 and keeps the old one
-    for seq, base, deviation in ((PeriodicPower(5, 3, 1), 5, "1.732e+00"),
-                                 (thue_morse_seq(), 3, "2.000e+00")):
-        message = f"digit recursion fails at n=1, k=0 (deviation {deviation})"
-        with pytest.raises(HypothesisFailed, match=re.escape(message)):
-            recursion_profile(seq, base=base)
-    with pytest.raises(NoNonzeroSeed, match=r"seed window \[2, 130\]"):
-        recursion_profile(DigitStatPower(2, 0, DigitStat.digit_sum()))
+    # certifying window: v is read at n0 = 1, so the first break is at n = 2
+    message = "digit recursion fails at n=2, k=0 (deviation 1.732e+00)"
+    with pytest.raises(HypothesisFailed, match=re.escape(message)):
+        recursion_profile(PeriodicPower(5, 3, 1), base=5)
+    # thue_morse has none in base 3, refused by its type alone
+    with pytest.raises(HypothesisFailed, match="no digit recursion in base 3"):
+        recursion_profile(thue_morse_seq(), base=3)
+    # u = 1, 0, 0, ...: its recursion holds with v = 0
+    prof = recursion_profile(DigitStatPower(2, 0, DigitStat.digit_sum()))
+    assert (prof.v, prof.n0, prof.checked) == ((0j, 0j), 1, 6)
 
 
 def test_default_window_checks_finiteness_only_inside_it():
@@ -498,7 +521,7 @@ def test_profile_equals_table_for_strongly_multiplicative(rng):
         seq = random_table_seq(rng)
         try:
             prof = recursion_profile(seq, 4096)
-        except (ConvergenceHypothesisViolated, NoNonzeroSeed):
+        except ConvergenceHypothesisViolated:
             continue
         full = (complex(1.0),) + seq.values
         assert all(abs(a - b) <= TOL for a, b in zip(prof.v, full))
