@@ -17,13 +17,15 @@ ValidationError for n < 0.  ``block(ns)`` takes an int64 array and does not
 check its sign: every caller passes a range from 0.
 
 ``recursion_profile`` extracts the data (v(0..B-1), n0) of the weak digit
-recursion u(B*n + k) = u(n) * v(k) for n >= 1, verifies it on a range, and
-derives the partial sums of v and the growth exponent used by the tail
-models downstream.  The sequence's type and parameters decide first which
-window proves the recursion for every n >= 1 (``_certifying_window``); when
-none does, or only one longer than allowed, it refuses before computing any
-value.  Otherwise it checks that window, reading v at the first nonzero
-u(n0), n0 in [1, B).  So every ``RecursionProfile`` is a proof, and no
+recursion u(B*n + k) = u(n) * v(k) for n >= 1 and derives the partial sums
+of v and the growth exponent used by the tail models downstream.  The
+sequence's type and parameters decide first which window [0, W] proves the
+recursion for every n >= 1 (``_certifying_window``); when none does, or
+only one longer than allowed, it refuses before computing any value.  A
+digit family in a power of its own base has W = 0: its type proves the
+recursion, so only u(0..B-1) and the row u(B*n0 + k) that v is read from
+are computed, and nothing is checked.  A periodic family's recursion is
+checked on [0, W].  So every ``RecursionProfile`` is a proof, and no
 consumer checks it.
 """
 
@@ -54,7 +56,6 @@ __all__ = [
     "RecursionProfile",
     "recursion_profile",
     "recursion_breaks",
-    "recursion_deviation",
 ]
 
 CHECK_TOL = 1e-12
@@ -323,50 +324,19 @@ def recursion_breaks(dev, size):
     return (dev > CHECK_TOL) & ((dev > CHECK_TOL * size) | (dev == inf))
 
 
-def recursion_deviation(
-    u: np.ndarray, v, n_first: int
-) -> tuple[float, tuple[int, int, float] | None]:
-    """Deviations |u(B*n + k) - u(n) * v(k)| over n >= n_first, B*n + k < len(u).
-
-    ``u`` holds u(0), u(1), ... and ``v`` the B = len(v) multipliers.
-    Returns the largest deviation (0.0 when no index fits) and the
-    lexicographically first (n, k, deviation) that breaks the recursion, or None.
-    """
-    base = len(v)
-    ns = np.arange(n_first, (len(u) - 1) // base + 1, dtype=np.int64)
-    max_dev = 0.0
-    first: tuple[int, int, float] | None = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(base):
-            idx = base * ns + k
-            sel = idx < len(u)
-            predicted = u[ns[sel]] * v[k]
-            dev = np.abs(u[idx[sel]] - predicted)
-            top = float(dev.max(initial=0.0))
-            max_dev = max(max_dev, top)
-            if top <= CHECK_TOL:  # within every bound: nothing breaks
-                continue
-            bad = np.flatnonzero(recursion_breaks(dev, np.abs(predicted)))
-            if bad.size:
-                n_bad = int(ns[sel][bad[0]])
-                if first is None or (n_bad, k) < first[:2]:
-                    first = (n_bad, k, float(dev[bad[0]]))
-    return max_dev, first
-
-
 @dataclass(frozen=True)
 class RecursionProfile:
-    """Verified data of the digit recursion u(B*n + k) = u(n) * v(k), n >= 1.
+    """Proven data of the digit recursion u(B*n + k) = u(n) * v(k), n >= 1.
 
-    The fields are what ``recursion_profile`` measured: the multipliers
-    ``v``, the seed ``n0`` they were read at (the first n in [1, B) with
-    u(n) != 0, or 1 when u vanishes there), and whether |u| <= 1 held on
-    the checked window [0, ``checked``], which proves the recursion for
-    every n >= 1.  The rest derives from ``v``, so it cannot disagree with
+    The fields are what ``recursion_profile`` read: the multipliers ``v``,
+    the seed ``n0`` they were read at (the first n in [1, B) with u(n) != 0,
+    or 1 when u vanishes there), and whether |u| <= 1 held on the values
+    read, which include u(0), ..., u(B-1): with |v(k)| <= 1 these bound
+    every |u(n)|.  The rest derives from ``v``, so it cannot disagree with
     it: ``v_prefix``, the partial sums (0, v(0), v(0)+v(1), ...);
     ``v_total``, their last entry, whose modulus stays below ``base`` for
     the products downstream to converge; ``alpha``, the growth exponent of
-    the partial sums of u, 1/2 when |v_total| <= 1, else
+    the partial sums of u, 1/2 when |v_total| <= 1 within CHECK_TOL, else
     log|v_total| / log base; and ``v_bounded``.
     """
 
@@ -374,7 +344,6 @@ class RecursionProfile:
     v: tuple[complex, ...]
     n0: int
     u_bounded: bool
-    checked: int
 
     @cached_property
     def v_prefix(self) -> tuple[complex, ...]:
@@ -387,7 +356,7 @@ class RecursionProfile:
     @property
     def alpha(self) -> float:
         total = abs(self.v_total)
-        return 0.5 if total <= 1.0 else log(total) / log(self.base)
+        return 0.5 if total <= 1.0 + CHECK_TOL else log(total) / log(self.base)
 
     @property
     def v_bounded(self) -> bool:
@@ -420,26 +389,41 @@ def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
     return base * (period + 1) + base - 1
 
 
+def _read(seq: ExponentSeq, ns: np.ndarray) -> tuple[np.ndarray, bool]:
+    """seq.block(ns) and whether |u| <= 1 on it; ValidationError at the
+    first value that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = seq.block(ns)
+        top = np.abs(u).max()  # inf or nan if a value is not finite
+    if not np.isfinite(top):  # or a finite complex value whose modulus overflows
+        not_finite = np.flatnonzero(~np.isfinite(u))
+        if not_finite.size:
+            i = not_finite[0]
+            raise ValidationError(f"sequence value at n={ns[i]} is not finite (u = {u[i]})")
+    return u, bool(top <= 1.0 + CHECK_TOL)
+
+
 def recursion_profile(
     seq: ExponentSeq,
     limit: int | None = None,
     base: int | None = None,
 ) -> RecursionProfile:
-    """Extract and verify the digit recursion profile of ``seq``.
+    """Extract and prove the digit recursion profile of ``seq``.
 
     ``base`` defaults to the sequence's own base but may differ (a sequence
-    can satisfy the recursion in a higher base as well).  An explicit window
-    [0, limit] must reach base**2 and is widened to [0, B*(B+1)].  Before any
-    value is computed, the sequence's type decides whether a window proves
-    the recursion for every n >= 1 (``_certifying_window``): HypothesisFailed
-    when none does, or when that window is longer than the one allowed,
-    max(limit, B*(B+1)) or by default max(4096, B*(B+1)).  ``None`` then
-    checks the least window that certifies it and holds [0, B*(B+1)].  The
-    window's values are computed once.  The seed n0 is the first n in [1, B)
-    with u(n) != 0, and v(k) = u(B*n0 + k) / u(n0); when u vanishes on
-    [1, B), n0 = 1 and v = 0, which the check confirms only if u(n) = 0 for
-    every n >= 1.  Raises ValidationError at the first value that is not
-    finite, HypothesisFailed when the recursion breaks on the window, and
+    can satisfy the recursion in a higher base as well).  Before any value
+    is computed, the sequence's type decides which window [0, W] proves the
+    recursion for every n >= 1 (``_certifying_window``): HypothesisFailed
+    when none does, or when W is longer than the one allowed, max(4096,
+    B*(B+1)) by default or max(limit, B*(B+1)) for an explicit ``limit``,
+    which must reach base**2.  The seed n0 is the first n in [1, B) with
+    u(n) != 0, and v(k) = u(B*n0 + k) / u(n0); when u vanishes on [1, B),
+    n0 = 1 and v = 0.  A digit family in a power of its own base (W = 0)
+    reads only u(0), ..., u(B-1) and u(B*n0 + k), k < B, and checks no
+    recursion: its type proves it.  A periodic family reads [0, W], which
+    holds every u(B*n0 + k), and checks the recursion on it.  Raises
+    ValidationError at the first value read that is not finite,
+    HypothesisFailed when the recursion breaks on [0, W], and
     ConvergenceHypothesisViolated when |sum v(k)| >= base.
     """
     b = check_base(base if base is not None else seq.base)
@@ -447,8 +431,6 @@ def recursion_profile(
         limit = int(limit)
         if limit < b * b:
             raise ValidationError(f"limit must be >= base**2, got {limit} < {b * b}")
-    # a window of B*(B+1) or more holds n = 1 .. B for every k, and with them
-    # every u(B*n0 + k) that v is read from
     allowed = max(4096 if limit is None else limit, b * (b + 1))
     window = _certifying_window(seq, b)
     if window is None:
@@ -459,34 +441,31 @@ def recursion_profile(
             f"the base-{b} digit recursion can be checked on [0, {allowed}] only, "
             f"and proving it for every n >= 1 needs [0, {window}]"
         ))
-    limit = max(window, b * (b + 1)) if limit is None else allowed
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = seq.block(np.arange(limit + 1, dtype=np.int64))
-    not_finite = np.flatnonzero(~np.isfinite(u))
-    if not_finite.size:
-        n_bad = int(not_finite[0])
-        raise ValidationError(
-            f"sequence value at n={n_bad} is not finite (u = {u[n_bad]})"
-        )
+    u, u_bounded = _read(seq, np.arange(window + 1 if window else b, dtype=np.int64))
     n0 = next((n for n in range(1, b) if u[n] != 0), None)
     if n0 is None:  # u(n) = 0 for every n >= 1, if the recursion holds
         n0, v = 1, (0j,) * b
     else:
+        if window:
+            row = u[b * n0:b * n0 + b]
+        else:
+            row, row_bounded = _read(seq, b * n0 + np.arange(b, dtype=np.int64))
+            u_bounded = u_bounded and row_bounded
         with np.errstate(over="ignore"):  # a v(k) that overflows reaches the checks as inf
-            v = tuple(complex(u[b * n0 + k] / u[n0]) for k in range(b))
+            v = tuple(complex(x / u[n0]) for x in row)
 
-    _, first = recursion_deviation(u, v, 1)
-    if first is not None:
-        raise HypothesisFailed(*first)
+    if window:  # n = 1 .. period + 1 for every k decides all n >= 1
+        ns = np.arange(1, (window + 1) // b, dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = u[ns, None] * np.array(v)
+            dev = np.abs(u[b * ns[:, None] + np.arange(b)] - predicted)
+            broken = np.argwhere(recursion_breaks(dev, np.abs(predicted)))
+        if broken.size:  # row-major: the lexicographically first (n, k)
+            i, k = broken[0]
+            raise HypothesisFailed(int(ns[i]), int(k), float(dev[i, k]))
 
-    profile = RecursionProfile(
-        base=b,
-        v=v,
-        n0=n0,
-        u_bounded=bool(np.abs(u).max() <= 1.0 + CHECK_TOL),
-        checked=limit,
-    )
+    profile = RecursionProfile(base=b, v=v, n0=n0, u_bounded=u_bounded)
     total = abs(profile.v_total)
     if total >= b - 1e-9:
         raise ConvergenceHypothesisViolated(

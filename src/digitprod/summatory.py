@@ -138,8 +138,9 @@ def growth_check(profile: RecursionProfile, seq: ExponentSeq, checkpoints) -> Gr
         raise ValidationError(f"checkpoints must be >= 1, got {pts[0]}")
     alpha = profile.alpha
     sums = tuple(_partial_sums(profile, seq, pts))
-    # in logs, since p**alpha needs p as a float and overflows past ~1.8e308;
-    # alpha >= 1/2, so a finite F gives a finite ratio
+    # in logs, since p**alpha needs p as a float and overflows past ~1.8e308.
+    # alpha > 0 (below 1/2 where 1 < |sum v| < sqrt(B): 1/4 for |sum v| = 2 in
+    # base 16), so a ratio is at most |F|, finite wherever |F| is
     ratios = tuple(exp(_log_abs(f) - alpha * log(p)) if f else 0.0
                    for f, p in zip(sums, pts))
     q1 = max(1, len(pts) // 4)

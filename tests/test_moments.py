@@ -229,9 +229,13 @@ def test_digit_families_certified_in_powers_of_their_base():
 def test_periodic_families_certified_over_one_period():
     seq = PeriodicPower(5, 8, 2)  # i**n, kept as 1/4: the recursion holds in base 5
     assert (seq.q, seq.p) == (4, 1)
-    # [0, 30] holds n = 1..5 for every k: a full period 4 plus one
-    assert recursion_profile(seq, limit=25, base=5).checked == 30
-    assert recursion_profile(SignedResidue(3, (1.0, -1.0)), base=3).checked == 12
+    # [0, 29] holds n = 1..5 for every k: a full period 4 plus one.  It is
+    # longer than limit = 25 and within the least window allowed, [0, 30]
+    assert sequences._certifying_window(seq, 5) == 29
+    assert recursion_profile(seq, limit=25, base=5).v == recursion_profile(seq).v
+    residue = SignedResidue(3, (1.0, -1.0))
+    assert sequences._certifying_window(residue, 3) == 11
+    assert recursion_profile(residue, base=3).v == (1.0, -1.0, 1.0)
 
 
 def _tm_then_runs() -> SignedResidue:

@@ -25,11 +25,10 @@ from digitprod.sequences import (
     PeriodicPower,
     SignedResidue,
     StronglyMultiplicative,
-    recursion_deviation,
     recursion_profile,
     thue_morse_seq,
 )
-from trick_checks import residue_split_check, telescoping_check
+from trick_checks import recursion_deviation, residue_split_check, telescoping_check
 
 SQRT2_INV = 2**-0.5
 

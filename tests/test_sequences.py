@@ -1,5 +1,5 @@
 import cmath
-import dataclasses
+import random
 import re
 import sys
 import threading
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from digitprod import sequences
 from digitprod.digits import DigitStat, digits_of
 from digitprod.errors import (
     ConvergenceHypothesisViolated,
@@ -18,16 +19,17 @@ from digitprod.errors import (
 )
 from digitprod.identities import catalog
 from digitprod.sequences import (
+    CHECK_TOL,
     DigitStatPower,
     PeriodicPower,
     SignedResidue,
     StronglyMultiplicative,
     _int_power_table,
     recursion_breaks,
-    recursion_deviation,
     recursion_profile,
     thue_morse_seq,
 )
+from trick_checks import recursion_deviation
 
 TOL = 1e-12
 
@@ -299,10 +301,10 @@ def test_profile_rejects_digit_length():
 
 def test_profile_no_seed():
     # u = 1, 0, 0, ...: no nonzero n in [1, B), so v = 0 read at n0 = 1, and
-    # the window confirms u(n) = 0 for every n >= 1
+    # the type proves u(n) = 0 for every n >= 1
     silent = StronglyMultiplicative(3, (0.0, 0.0))
     prof = recursion_profile(silent, 4096)
-    assert (prof.n0, prof.v, prof.checked) == (1, (0j,) * 3, 4096)
+    assert (prof.n0, prof.v, prof.u_bounded) == (1, (0j,) * 3, True)
     assert prof.v_total == 0 and prof.alpha == 0.5
 
 
@@ -317,11 +319,12 @@ def test_seed_is_the_first_nonzero_value_below_the_base(seq, n0):
     base = seq.base
     prof = recursion_profile(seq)
     assert prof.n0 == n0
-    assert prof.checked == base * (base + 1)  # the type proves it: no longer window
-    u = seq.block(np.arange(prof.checked + 1, dtype=np.int64))
+    u = seq.block(np.arange(base * (base + 1), dtype=np.int64))
     assert u[n0] != 0 and not any(u[1:n0])
-    assert prof.v == tuple(complex(u[base * n0 + k] / u[n0]) for k in range(base))
-    # an explicit window [0, B**2], widened to [0, B*(B+1)], reads the same seed
+    # v keeps the bits, zero signs included, of the values' quotients
+    want = tuple(complex(u[base * n0 + k] / u[n0]) for k in range(base))
+    assert repr(prof.v) == repr(want)
+    # an explicit limit of B**2 reads the same seed
     assert recursion_profile(seq, base * base) == prof
 
 
@@ -335,12 +338,25 @@ def test_seed_search_reports_a_value_that_is_not_finite_first():
             recursion_profile(seq, limit)
 
 
+_TABLE_B4 = StronglyMultiplicative(4, (0.5j, -0.5, 0.25))
+_SEED_AT_65 = DigitStatPower(100, 0, DigitStat.count_set(range(1, 65)))
+_NO_SEED = StronglyMultiplicative(3, (0.0, 0.0))
+# limit 4096 or 10100 is the explicit limit perfbench passes, max(4096, B*(B+1))
 _ONE_WINDOW_CASES = {
     "default": (thue_morse_seq(), 2, None),
     "default_uncertified": (thue_morse_seq(), 3, None),
     "explicit": (PeriodicPower(5, 4, 1), 5, 4096),
     "seed_at_2B": (DigitStatPower(63, 0, DigitStat.count(1)), 63, None),
-    "seed_at_65B": (DigitStatPower(100, 0, DigitStat.count_set(range(1, 65))), 100, None),
+    "seed_at_65B": (_SEED_AT_65, 100, None),
+    "explicit_digit_family": (thue_morse_seq(), 2, 4096),
+    "explicit_b8": (thue_morse_seq(), 8, 4096),
+    "explicit_seed_at_65B": (_SEED_AT_65, 100, 10100),
+    "table_b16": (_TABLE_B4, 16, None),
+    "explicit_table_b16": (_TABLE_B4, 16, 4096),
+    "no_seed": (_NO_SEED, 3, None),
+    "explicit_no_seed": (_NO_SEED, 3, 4096),
+    "periodic_default": (PeriodicPower(5, 4, 1), 5, None),
+    "signed_residue": (SignedResidue(3, (1.0, -1.0)), 3, None),
 }
 
 
@@ -366,13 +382,24 @@ def _count_calls(monkeypatch, cls):
 @pytest.mark.parametrize("seq, base, limit", list(_ONE_WINDOW_CASES.values()),
                          ids=list(_ONE_WINDOW_CASES))
 def test_profile_computes_its_window_once(seq, base, limit, monkeypatch):
+    # an explicit limit caps the window and widens nothing
     calls = _count_calls(monkeypatch, type(seq))
     try:
         prof = recursion_profile(seq, limit, base=base)
     except HypothesisFailed:  # thue_morse has no recursion in base 3
         prof = None
     assert calls["value"] == []
-    assert calls["block"] == ([] if prof is None else [prof.checked + 1])
+    window = sequences._certifying_window(seq, base)
+    if prof is None:
+        assert calls["block"] == []
+    elif window:  # a periodic family: its certifying window [0, W], once
+        assert calls["block"] == [window + 1]
+    else:
+        # a digit family in a power of its own base: u(0), ..., u(B-1), then
+        # the row u(B*n0 + k) that v is read from, unless u vanishes on
+        # [1, B); at most 2B values, and no window to check the recursion on
+        seed_row = [] if prof.v == (0j,) * base else [base]
+        assert calls["block"] == [base] + seed_row
 
 
 @pytest.mark.parametrize("seq, base, limit, message", [
@@ -430,20 +457,43 @@ def test_complex_table_block_matches_value_bit_for_bit(values):
         assert [repr(complex(x)) for x in got] == [repr(seq.value(int(n))) for n in ns]
 
 
-def _old_default_window(seq, base):
-    """The profile at max(4096, B*(B+1)), the default window of every
-    sequence before the certifying window became the default."""
-    return recursion_profile(seq, max(4096, base * (base + 1)), base=base)
+def _old_window_profile(seq, base):
+    """(v, n0, u_bounded) as the window [0, max(4096, B*(B+1))] gave them
+    before the sequence's type proved the recursion: every value of the
+    window through block(), v read at the first nonzero u(n0), n0 in
+    [1, B), and the recursion and |u| <= 1 checked on all of it.  None where
+    that window refused: a value that is not finite, a broken recursion or
+    |sum v| >= B."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = seq.block(np.arange(max(4096, base * (base + 1)) + 1, dtype=np.int64))
+    if not np.isfinite(u).all():
+        return None
+    n0 = next((n for n in range(1, base) if u[n] != 0), None)
+    if n0 is None:
+        n0, v = 1, (0j,) * base
+    else:
+        with np.errstate(over="ignore"):
+            v = tuple(complex(u[base * n0 + k] / u[n0]) for k in range(base))
+    if recursion_deviation(u, v, 1)[1] is not None or abs(sum(v)) >= base - 1e-9:
+        return None
+    return v, n0, bool(np.abs(u).max() <= 1.0 + CHECK_TOL)
+
+
+def _assert_matches_the_old_window(seq, base):
+    old = _old_window_profile(seq, base)
+    assert old is not None
+    prof = recursion_profile(seq, base=base)
+    # v bit for bit, zero signs included
+    assert (repr(prof.v), prof.n0, prof.u_bounded) == (repr(old[0]),) + old[1:]
+    assert recursion_profile(seq, max(4096, base * (base + 1)), base=base) == prof
 
 
 def test_default_window_certifies_a_seed_inside_it():
-    # u(1) = 0, so n0 = 2; the type proves the recursion, and the window is
-    # the least one that holds every B*n0 + k, [0, B*(B+1)]
+    # u(1) = 0, so n0 = 2; the type proves the recursion, and v is read from
+    # u(20), ..., u(29), past the first B values
     seq = DigitStatPower(10, 0, DigitStat.count(1))
-    prof = recursion_profile(seq)
-    assert (prof.n0, prof.checked) == (2, 110)
-    old = _old_default_window(seq, 10)
-    assert dataclasses.replace(prof, checked=old.checked) == old
+    assert recursion_profile(seq).n0 == 2
+    _assert_matches_the_old_window(seq, 10)
 
 
 def _catalog_profiles():
@@ -465,10 +515,54 @@ _WINDOW_CASES = {
 
 @pytest.mark.parametrize("seq, base", list(_WINDOW_CASES), ids=list(_WINDOW_CASES.values()))
 def test_certifying_window_changes_nothing_else(seq, base):
-    prof = recursion_profile(seq, base=base)  # returned: its window certifies it
-    old = _old_default_window(seq, base)
-    assert dataclasses.replace(prof, checked=old.checked) == old
-    assert prof.checked <= old.checked
+    _assert_matches_the_old_window(seq, base)
+
+
+def _seeded_value(rng):
+    pick = rng.random()
+    if pick < 0.2:
+        return rng.choice((0.0, -0.0, complex(0.0, -0.0), 1.0, -1.0, 1j))
+    if pick < 0.5:
+        return rng.uniform(-1.5, 1.5)
+    return cmath.rect(1.5 * rng.random(), rng.uniform(-cmath.pi, cmath.pi))
+
+
+def _seeded_family(rng, family):
+    """One sequence of ``family`` and the base of its profile: its own base,
+    or for digit families, B**2 half the time."""
+    base = rng.choice((2, 3, 4, 5, 6, 8, 10, 16))
+    if family == "table":
+        seq = StronglyMultiplicative(base, [_seeded_value(rng) for _ in range(base - 1)])
+    elif family == "stat":
+        stat = rng.choice((DigitStat.digit_sum(), DigitStat.count(rng.randrange(base)),
+                           DigitStat.count_set(rng.sample(range(base), rng.randint(1, base)))))
+        seq = DigitStatPower(base, _seeded_value(rng), stat)
+    elif family == "periodic_power":
+        q = rng.randint(2, 12)
+        return PeriodicPower(base, q, rng.randint(1, q - 1)), base
+    elif rng.random() < 0.3:
+        return SignedResidue(base, [_seeded_value(rng) for _ in range(rng.randint(1, 6))]), base
+    else:  # c * omega**n with q | B - 1, whose recursion holds with v(k) = omega**k
+        q = rng.choice([d for d in range(1, base) if (base - 1) % d == 0])
+        omega = cmath.exp(2j * cmath.pi * rng.randrange(q) / q)
+        c = _seeded_value(rng)
+        return SignedResidue(base, [c * omega**n for n in range(q)]), base
+    return seq, base * base if base <= 10 and rng.random() < 0.5 else base
+
+
+@pytest.mark.parametrize("family", ["table", "stat", "periodic_power", "signed_residue"])
+def test_profile_matches_the_old_window_on_seeded_families(family):
+    # the reference computes and checks [0, max(4096, B*(B+1))]; wherever it
+    # gives a profile, the profile read from the values its proof needs is
+    # the same
+    rng = random.Random(f"old-window-{family}")
+    compared = 0
+    for _ in range(60):
+        seq, base = _seeded_family(rng, family)
+        if _old_window_profile(seq, base) is not None:
+            _assert_matches_the_old_window(seq, base)
+            compared += 1
+    assert compared >= 5
 
 
 def test_uncertifiable_sequences_keep_the_old_window_and_errors():
@@ -482,19 +576,23 @@ def test_uncertifiable_sequences_keep_the_old_window_and_errors():
         recursion_profile(thue_morse_seq(), base=3)
     # u = 1, 0, 0, ...: its recursion holds with v = 0
     prof = recursion_profile(DigitStatPower(2, 0, DigitStat.digit_sum()))
-    assert (prof.v, prof.n0, prof.checked) == ((0j, 0j), 1, 6)
+    assert (prof.v, prof.n0) == ((0j, 0j), 1)
 
 
 def test_default_window_checks_finiteness_only_inside_it():
-    # w**count overflows at n = 2**11 - 1: past the certifying window [0, 6],
-    # which leaves the divergence of sum v = 1 + w as the refusal
+    # w**count overflows at n = 2**11 - 1: past u(0), ..., u(3), the values
+    # read, which leaves the divergence of sum v = 1 + w as the refusal, at
+    # every limit
     seq = DigitStatPower(2, 1e30, DigitStat.count(1))
-    with pytest.raises(ValidationError, match="n=2047 is not finite"):
-        recursion_profile(seq, 4096)
-    with pytest.raises(ConvergenceHypothesisViolated):
-        recursion_profile(seq)
-    with pytest.raises(ValidationError, match="n=3 is not finite"):
+    for limit in (4096, None):
+        with pytest.raises(ConvergenceHypothesisViolated):
+            recursion_profile(seq, limit)
+    with pytest.raises(ValidationError, match=re.escape("n=3 is not finite (u = inf)")):
         recursion_profile(DigitStatPower(2, 1e200, DigitStat.count(1)))
+    # a periodic family reports the first value of its window [0, 14]
+    table = SignedResidue(3, (1.0, 0.5, complex(1e308, 1e308) * 2))
+    with pytest.raises(ValidationError, match=re.escape("n=2 is not finite (u = (inf+infj))")):
+        recursion_profile(table, 4096)
 
 
 def test_profile_hypothesis_failure():

@@ -221,7 +221,6 @@ def test_profile_mismatch_detected():
         v=(complex(1.0), complex(1.0)),  # wrong: v(1) should be -1
         n0=good.n0,
         u_bounded=True,
-        checked=good.checked,
     )
     with pytest.raises(ProfileMismatch):
         partial_sum_recursive(bad, tm, 1000)
@@ -339,6 +338,27 @@ def test_growth_alpha_values():
     rep = growth_check(prof, rot, [2**j for j in range(8, 22)])
     assert rep.passed
     assert rep.c_est < 4.0
+
+
+_UNIT_SUM_POWERS = [(base, q) for base in range(3, 17) for q in range(2, base)
+                    if (base - 1) % q == 0]
+
+
+@pytest.mark.parametrize("base, q", _UNIT_SUM_POWERS,
+                         ids=[f"b{base}_q{q}" for base, q in _UNIT_SUM_POWERS])
+def test_growth_alpha_is_one_half_where_sum_v_has_modulus_one(base, q):
+    # q | B - 1 gives v(k) = omega**k and sum v = 1 exactly; the float sum
+    # misses 1 by a rounding (|v_total| = 1.0000000000000007 for B = 4,
+    # q = 3), which must not turn alpha into log|v_total| / log B ~ 1e-16
+    checkpoints = sorted({base**j for j in range(1, 10)} | {7 * base**j + 1 for j in range(6)})
+    for p in range(1, q):
+        seq = PeriodicPower(base, q, p)
+        prof = recursion_profile(seq)
+        assert abs(abs(prof.v_total) - 1.0) <= 1e-12
+        assert prof.alpha == 0.5
+        rep = growth_check(prof, seq, checkpoints)
+        for f, n, ratio in zip(rep.sums, checkpoints, rep.ratios):
+            assert ratio == pytest.approx(abs(f) / math.sqrt(n), rel=1e-12, abs=1e-300)
 
 
 def test_growth_beyond_float_range():

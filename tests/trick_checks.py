@@ -4,7 +4,9 @@ The trick merges the B residue factors by telescoping, then splits the sum
 by residue with the digit recursion substituted.  ``telescoping_check`` and
 ``residue_split_check`` check each step on a finite range, each side summed
 in one vectorized pass; C10 in ``test_acceptance.py`` and
-``test_products.py`` run them.
+``test_products.py`` run them.  ``recursion_deviation`` measures the digit
+recursion over a whole range of values, the tests' reference for what
+``recursion_profile`` proves from the sequence's type.
 """
 
 import math
@@ -15,8 +17,39 @@ import numpy as np
 
 from digitprod.errors import ValidationError
 from digitprod.products import _fsum_c, _log_ratio_block, log_ratio_term
-from digitprod.sequences import (CHECK_TOL, ExponentSeq, recursion_deviation,
+from digitprod.sequences import (CHECK_TOL, ExponentSeq, recursion_breaks,
                                  recursion_profile)
+
+
+def recursion_deviation(
+    u: np.ndarray, v, n_first: int
+) -> tuple[float, tuple[int, int, float] | None]:
+    """Deviations |u(B*n + k) - u(n) * v(k)| over n >= n_first, B*n + k < len(u).
+
+    ``u`` holds u(0), u(1), ... and ``v`` the B = len(v) multipliers.
+    Returns the largest deviation (0.0 when no index fits) and the
+    lexicographically first (n, k, deviation) that breaks the recursion, or None.
+    """
+    base = len(v)
+    ns = np.arange(n_first, (len(u) - 1) // base + 1, dtype=np.int64)
+    max_dev = 0.0
+    first: tuple[int, int, float] | None = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(base):
+            idx = base * ns + k
+            sel = idx < len(u)
+            predicted = u[ns[sel]] * v[k]
+            dev = np.abs(u[idx[sel]] - predicted)
+            top = float(dev.max(initial=0.0))
+            max_dev = max(max_dev, top)
+            if top <= CHECK_TOL:  # within every bound: nothing breaks
+                continue
+            bad = np.flatnonzero(recursion_breaks(dev, np.abs(predicted)))
+            if bad.size:
+                n_bad = int(ns[sel][bad[0]])
+                if first is None or (n_bad, k) < first[:2]:
+                    first = (n_bad, k, float(dev[bad[0]]))
+    return max_dev, first
 
 
 @dataclass(frozen=True)
