@@ -298,10 +298,9 @@ def _tail_bound(spec: ProductSpec, profile: RecursionProfile, f_end: complex,
     base, total = spec.base, profile.v_total
     s = abs(total)
     mu = sum(j * abs(vj) for j, vj in enumerate(profile.v))
-    u = spec.seq.block(np.arange(base, dtype=np.int64))
-    f = np.concatenate(([0.0], np.cumsum(u)))  # F(0 .. B)
-    phi_1 = float(np.abs(f).max())
-    offset = abs(complex(f[-1] - u[0] * total)) + max(map(abs, profile.v_prefix[:-1]))
+    f, u0 = profile.head_prefix, profile.head[0]  # F(0 .. B), u(0)
+    phi_1 = float(np.abs(f).max())  # numpy's modulus, which may round apart from abs()
+    offset = abs(f[-1] - u0 * total) + max(map(abs, profile.v_prefix[:-1]))
     err = 0.0
     for fac in spec.factors:
         n0 = max(n_terms, fac.start)
@@ -311,7 +310,7 @@ def _tail_bound(spec: ProductSpec, profile: RecursionProfile, f_end: complex,
             level, phi = level + 1, max(phi_1, offset + s * phi)
         jump = max(phi_1, offset + s * phi) - phi
         if base * m0 == n_terms:
-            s_f_m0 = abs(complex(f_end - f[-1] + u[0] * total))
+            s_f_m0 = abs(complex(f_end - f[-1] + u0 * total))
         else:
             s_f_m0 = s * phi
         err += abs(fac.multiplier) * (

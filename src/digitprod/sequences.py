@@ -17,8 +17,9 @@ ValidationError for n < 0.  ``block(ns)`` takes an int64 array and does not
 check its sign: every caller passes a range from 0.
 
 ``recursion_profile`` extracts the data (v(0..B-1), n0) of the weak digit
-recursion u(B*n + k) = u(n) * v(k) for n >= 1 and derives the partial sums
-of v and the growth exponent used by the tail models downstream.  The
+recursion u(B*n + k) = u(n) * v(k) for n >= 1, keeps the head u(0..B-1)
+that the recursion does not determine, and derives the partial sums of v
+and of the head and the growth exponent used downstream.  The
 sequence's type and parameters decide first which window [0, W] proves the
 recursion for every n >= 1 (``_certifying_window``); when none does, or
 only one longer than allowed, it refuses before computing any value.  A
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, inf, log
+from math import copysign, gcd, inf, log
 
 import numpy as np
 
@@ -130,8 +131,15 @@ class StronglyMultiplicative:
         return full
 
     def value(self, n: int) -> complex:
-        re, im = 1.0, 0.0
         n = check_nonnegative(n)
+        if self.is_real:  # in floats, as block() multiplies its float64 table
+            x = 1.0
+            while n > 0:
+                n, d = divmod(n, self.base)
+                if d:
+                    x *= self.values[d - 1].real
+            return complex(x)
+        re, im = 1.0, 0.0
         while n > 0:
             n, d = divmod(n, self.base)
             if d:
@@ -208,14 +216,16 @@ class DigitStatPower:
 
     def value(self, n: int) -> complex:
         m = self._count(check_nonnegative(n))
-        try:
-            return self._kept_powers(m)[0][m]
-        except IndexError:  # past the cap: continue the kept chain for this call
-            values = self._powers[0]
-            x, p = (self.w.real, values[-1].real) if self.is_real else (self.w, values[-1])
-            for _ in range(m + 1 - len(values)):
-                p = p * x
-            return complex(p)
+        values = self._powers[0]
+        if m >= len(values):
+            values = self._kept_powers(m)[0]
+        if m < len(values):
+            return values[m]
+        # past the cap: continue the kept chain for this call
+        x, p = (self.w.real, values[-1].real) if self.is_real else (self.w, values[-1])
+        for _ in range(m + 1 - len(values)):
+            p = p * x
+        return complex(p)
 
     def block(self, ns: np.ndarray) -> np.ndarray:
         stats = digit_stat_block(ns, self.stat, self.base)
@@ -293,7 +303,8 @@ class SignedResidue:
 
     @cached_property
     def is_real(self) -> bool:
-        return all(v.imag == 0.0 for v in self.signs)
+        # a -0.0 imaginary part is kept, so block() returns value()'s bits
+        return all(v.imag == 0.0 and copysign(1.0, v.imag) > 0 for v in self.signs)
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -330,20 +341,27 @@ class RecursionProfile:
 
     The fields are what ``recursion_profile`` read: the multipliers ``v``,
     the seed ``n0`` they were read at (the first n in [1, B) with u(n) != 0,
-    or 1 when u vanishes there), and whether |u| <= 1 held on the values
-    read, which include u(0), ..., u(B-1): with |v(k)| <= 1 these bound
-    every |u(n)|.  The rest derives from ``v``, so it cannot disagree with
-    it: ``v_prefix``, the partial sums (0, v(0), v(0)+v(1), ...);
-    ``v_total``, their last entry, whose modulus stays below ``base`` for
-    the products downstream to converge; ``alpha``, the growth exponent of
-    the partial sums of u, 1/2 when |v_total| <= 1 within CHECK_TOL, else
-    log|v_total| / log base; and ``v_bounded``.
+    or 1 when u vanishes there), whether |u| <= 1 held on the values read,
+    and the ``head`` u(0), ..., u(B-1), which the recursion (n >= 1) does
+    not determine: with |v(k)| <= 1 the head bounds every |u(n)|.  The rest
+    derives from these, so it cannot disagree with them: ``head_prefix``,
+    the partial sums F(0), ..., F(B) of u; ``v_prefix``, the partial sums
+    (0, v(0), v(0)+v(1), ...); ``v_total``, their last entry, whose modulus
+    stays below ``base`` for the products downstream to converge;
+    ``alpha``, the growth exponent of the partial sums of u, 1/2 when
+    |v_total| <= 1 within CHECK_TOL, else log|v_total| / log base; and
+    ``v_bounded``.
     """
 
     base: int
     v: tuple[complex, ...]
     n0: int
     u_bounded: bool
+    head: tuple[complex, ...]
+
+    @cached_property
+    def head_prefix(self) -> tuple[complex, ...]:
+        return tuple(accumulate(self.head, initial=complex(0.0)))
 
     @cached_property
     def v_prefix(self) -> tuple[complex, ...]:
@@ -418,7 +436,8 @@ def recursion_profile(
     B*(B+1)) by default or max(limit, B*(B+1)) for an explicit ``limit``,
     which must reach base**2.  The seed n0 is the first n in [1, B) with
     u(n) != 0, and v(k) = u(B*n0 + k) / u(n0); when u vanishes on [1, B),
-    n0 = 1 and v = 0.  A digit family in a power of its own base (W = 0)
+    n0 = 1 and v = 0.  The head u(0), ..., u(B-1) is kept from the same
+    read.  A digit family in a power of its own base (W = 0)
     reads only u(0), ..., u(B-1) and u(B*n0 + k), k < B, and checks no
     recursion: its type proves it.  A periodic family reads [0, W], which
     holds every u(B*n0 + k), and checks the recursion on it.  Raises
@@ -465,7 +484,8 @@ def recursion_profile(
             i, k = broken[0]
             raise HypothesisFailed(int(ns[i]), int(k), float(dev[i, k]))
 
-    profile = RecursionProfile(base=b, v=v, n0=n0, u_bounded=u_bounded)
+    profile = RecursionProfile(base=b, v=v, n0=n0, u_bounded=u_bounded,
+                               head=_as_complex_tuple(u[:b]))
     total = abs(profile.v_total)
     if total >= b - 1e-9:
         raise ConvergenceHypothesisViolated(

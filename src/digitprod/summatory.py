@@ -6,12 +6,14 @@ The recursive evaluator peels base-B digits using the identity
 
 where S is the full sum of the recursion multipliers v(k) and G(b) their
 partial sum below b.  F(B), u(0) and the base case F(M), M < B, come from
-u(0), ..., u(B-1), read once per call: the recursion constrains only
-n >= 1.  The pass down the digits of N makes one divmod per digit and
-carries u(M) along the prefixes, u(B*M + r) = u(M) * v(r), from the
-shortest, u(M) with 1 <= M < B, read from the same head; so it makes no
-value() call and costs O(log N).  G(0) = 0, so a zero digit adds no term.
-``growth_check`` sums all its checkpoints in one such call.
+the recursion profile's head u(0), ..., u(B-1), which ``recursion_profile``
+read with v: the recursion constrains only n >= 1.  The pass down the
+digits of N makes one divmod per digit and carries u(M) along the
+prefixes, u(B*M + r) = u(M) * v(r), from the shortest, u(M) with
+1 <= M < B, taken from the same head; so it makes no value() call and
+costs O(log N).  G(0) = 0, so a zero digit adds no term.  The only value()
+calls are the spot checks of the recursion, and ``growth_check`` sums all
+its checkpoints with one set of them.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _spot_check(profile: RecursionProfile, seq: ExponentSeq, ms) -> None:
 
 
 def _partial_sums(profile: RecursionProfile, seq: ExponentSeq, ns) -> list[complex]:
-    """F(n) for each n in ``ns``: one head read and one spot check for all."""
+    """F(n) for each n in ``ns``, with one spot check for all."""
     ns = [check_nonnegative(n) for n in ns]
     b = profile.base
     # the recursion is spot-checked at n0, n0 + 1 and two prefixes of each n
@@ -66,8 +68,8 @@ def _partial_sums(profile: RecursionProfile, seq: ExponentSeq, ns) -> list[compl
     for n in ns:
         checked.update((max(1, n // b), max(1, n // (b * b))))
     _spot_check(profile, seq, checked)
-    head = [seq.value(k) for k in range(b)]  # u(0), ..., u(B-1)
-    fb = complex(sum(head))
+    head, f_head = profile.head, profile.head_prefix  # u(0 .. B-1), F(0 .. B)
+    u0, fb = head[0], f_head[-1]
     s_total = profile.v_total
     v, g = profile.v, profile.v_prefix
     sums = []
@@ -79,10 +81,10 @@ def _partial_sums(profile: RecursionProfile, seq: ExponentSeq, ns) -> list[compl
         while m >= b:
             m, r = divmod(m, b)
             digits.append(r)
-        f = complex(sum(head[:m]))
+        f = f_head[m]
         u = head[m]  # u(M) at the current prefix M; m >= 1 once n >= B
         for r in reversed(digits):
-            f = fb + (f - head[0]) * s_total
+            f = fb + (f - u0) * s_total
             # G(0) = 0, so a zero digit adds no u(M) term.  F(B), a sum from
             # +0.0, has no -0.0 part, nor has f here, so adding the term's
             # zeros for a finite u(M) would change no bit

@@ -520,6 +520,21 @@ def test_cli_summatory_modulus_overflowing_a_float_exit_2(capsys):
     assert lines[0].startswith("error: |F(N)| overflows a float at N = 2**3821")
 
 
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_cli_summatory_values_above_modulus_one_exit_2(capsys, output):
+    # the float sums of u cancel (F(6) = 1 + 0.4 - 1e200 + 1e200 + 2 + 0 =
+    # 3.4 reads 2.0), so summatory refuses |u| > 1 with eval's message
+    spec = "base=6; exponent=table(0.4,-1e200,1e200,2,0)"
+    errors = []
+    for argv in (["summatory", "--spec", spec, "--output", output],
+                 ["eval", "--spec", f"{spec}; factors=1"]):
+        assert main([*argv, "--terms", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == "error: sequence values exceed modulus 1\n"
+
+
 @pytest.mark.parametrize("output, expected", [
     ("csv", "N,re_F,im_F,abs_F,ratio\n"), ("json", "[]\n")], ids=["csv", "json"])
 @pytest.mark.parametrize("terms", ["0", "3"])

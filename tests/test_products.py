@@ -146,6 +146,43 @@ def test_abel_error_bound_keeps_f_at_one():
     assert r.err_est == pytest.approx(2 / (8 * (n // 2) ** 2) + rounding, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    woods_robbins_spec(),
+    ProductSpec(5, [Factor(1, 1.0), Factor(3, -1.0)], PeriodicPower(5, 4, 1)),
+    ProductSpec(16, [Factor(1, 0.5j)], StronglyMultiplicative(4, (0.3, -0.4, 0.9j))),
+], ids=["thue_morse", "periodic_b5", "table_b16"])
+def test_abel_reads_no_values_below_the_base_after_its_profile(spec, monkeypatch):
+    # the tail bound takes F(0), ..., F(B) from the profile's head: after the
+    # profile, only the engine's blocks tiling [0, N) are read, each once,
+    # and no value()
+    calls = []
+    cls = type(spec.seq)
+    block, value, profile = cls.block, cls.value, products.recursion_profile
+
+    def counted_block(self, ns):
+        calls.append(("block", int(ns[0]), len(ns)))
+        return block(self, ns)
+
+    def counted_value(self, n):
+        calls.append(("value", n))
+        return value(self, n)
+
+    def counted_profile(*args, **kwargs):
+        result = profile(*args, **kwargs)
+        calls.append("profile")
+        return result
+
+    monkeypatch.setattr(cls, "block", counted_block)
+    monkeypatch.setattr(cls, "value", counted_value)
+    monkeypatch.setattr(products, "recursion_profile", counted_profile)
+    n = evaluate_abel(spec, 1000).terms
+    after = calls[calls.index("profile") + 1:]
+    assert all(call[0] == "block" for call in after)
+    starts = [start for _, start, _ in after]
+    ends = [start + length for _, start, length in after]
+    assert starts == [0] + ends[:-1] and ends[-1] == n
+
+
 def test_abel_bound_near_the_guard_is_finite_and_fast():
     # |sum v| = 2 - 1e-6: the level sums are geometric series of ratio
     # 1 - 5e-7, summed in closed form rather than term by term

@@ -179,6 +179,49 @@ def test_power_chain_matches_a_table_from_w0(w):
         assert kept_array.dtype == array.dtype
 
 
+@pytest.mark.parametrize("w", [0.9999, -0.9999, 0.6 + 0.8j, 0.6 - 0.7j])
+def test_value_indexes_the_kept_powers_directly(w):
+    # digit sums in base 10**5 are the digit itself below 10**5.  value()
+    # at the last kept power reads the kept tuple and grows nothing; at the
+    # first power past it, and past the 2**15 cap, it continues the chain.
+    # Each gives block()'s bits and those of one chain built from w**0
+    w = complex(w)
+    seq = DigitStatPower(10**5, w, DigitStat.digit_sum())
+    seq.value(100)
+    kept = seq._powers
+    top = len(kept[0]) - 1
+    assert seq.value(top) is kept[0][top]
+    assert seq._powers is kept
+    for m in (top, top + 1, sequences._POWER_TABLE_MAX - 1, sequences._POWER_TABLE_MAX,
+              sequences._POWER_TABLE_MAX + 17):
+        chain = _int_power_table(w, m, w.imag == 0.0)[0][m]
+        got = seq.value(m)
+        assert type(got) is complex
+        assert repr(got) == repr(chain) == repr(complex(seq.block(np.array([m]))[0])), m
+    assert len(seq._powers[0]) == sequences._POWER_TABLE_MAX
+
+
+def test_signed_residue_block_keeps_negative_zero_imaginary_parts():
+    # a table whose imaginary parts are zeros, one of them -0.0, is kept
+    # complex, so block() gives value()'s bits
+    seq = SignedResidue(3, (1, complex(0.5, -0.0), complex(-0.5, -0.0)))
+    assert not seq.is_real
+    assert repr(seq.value(1)) == "(0.5-0j)"
+    got = seq.block(np.arange(6))
+    assert [repr(complex(x)) for x in got] == [repr(seq.value(n)) for n in range(6)]
+    assert SignedResidue(3, (1, 0.5 + 0j, -0.5)).is_real
+
+
+def test_real_table_value_multiplies_floats_as_block_does():
+    # value() of a real table multiplies its real parts, as block() does:
+    # two negative digits make no -0.0 imaginary part
+    seq = StronglyMultiplicative(3, (-0.5, complex(-1.0, -0.0)))
+    assert seq.is_real
+    ns = np.arange(81)
+    assert [repr(complex(x)) for x in seq.block(ns)] == [repr(seq.value(int(n))) for n in ns]
+    assert repr(seq.value(4)) == "(0.25+0j)"
+
+
 @pytest.mark.parametrize("q", range(2, 13))
 def test_periodic_value_matches_its_table(q):
     # value() reads a cached tuple; it must give the bits that converting
@@ -421,6 +464,42 @@ def test_uncertifiable_pairs_are_refused_before_any_value(seq, base, limit, mess
     with pytest.raises(HypothesisFailed, match=re.escape(message)):
         recursion_profile(seq, limit, base=base)
     assert calls == {"value": [], "block": []}
+
+
+# (sequence, profile base, limit): each family in its own base and in B**2,
+# u vanishing on [1, B), periodic windows and base 100
+_HEAD_CASES = {
+    "table_b4": (_TABLE_B4, 4, None),
+    "table_b16": (_TABLE_B4, 16, None),
+    "real_table_b3": (StronglyMultiplicative(3, (-0.5, -1.0)), 3, None),
+    "real_table_b9": (StronglyMultiplicative(3, (-0.5, -1.0)), 9, None),
+    "thue_morse_b2": (thue_morse_seq(), 2, None),
+    "thue_morse_b4": (thue_morse_seq(), 4, 4096),
+    "digit_sum_b3": (DigitStatPower(3, 0.6 + 0.3j, DigitStat.digit_sum()), 3, None),
+    "digit_sum_b9": (DigitStatPower(3, 0.6 + 0.3j, DigitStat.digit_sum()), 9, None),
+    "periodic_b5": (PeriodicPower(5, 4, 1), 5, None),
+    "periodic_b25": (PeriodicPower(5, 4, 1), 25, 4096),
+    "signed_residue_b3": (SignedResidue(3, (1.0, -1.0)), 3, None),
+    "signed_residue_b9": (SignedResidue(3, (1.0, -1.0)), 9, None),
+    "signed_negative_zero_b3": (SignedResidue(3, (1.0, complex(-1.0, -0.0))), 3, None),
+    "no_seed_b3": (_NO_SEED, 3, None),
+    "no_seed_b9": (_NO_SEED, 9, 4096),
+    "one_then_zeros_b2": (DigitStatPower(2, 0, DigitStat.count(1)), 2, None),
+    "seed_at_65B_b100": (_SEED_AT_65, 100, None),
+    "complex_table_b100": (StronglyMultiplicative(100, [cmath.rect(0.9, k) for k in range(99)]),
+                           100, None),
+}
+
+
+@pytest.mark.parametrize("seq, base, limit", list(_HEAD_CASES.values()), ids=list(_HEAD_CASES))
+def test_profile_head_is_the_values_below_the_base(seq, base, limit):
+    # the head is kept from the profile's one read through block(); it must
+    # hold value()'s bits, zero signs included, and sum to F(0), ..., F(B)
+    prof = recursion_profile(seq, limit, base=base)
+    assert repr(prof.head) == repr(tuple(seq.value(k) for k in range(base)))
+    assert all(type(u) is complex for u in prof.head)
+    assert repr(prof.head_prefix) == repr(tuple(
+        complex(sum(seq.value(k) for k in range(m))) for m in range(base + 1)))
 
 
 def test_recursion_rule_is_relative_above_modulus_one():
