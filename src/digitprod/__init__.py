@@ -27,7 +27,6 @@ from .gammaproducts import (
     odd_base_products,
     partial_quotient,
     quotient_limit,
-    verify_alternating_products,
     wallis_quotient,
 )
 from .identities import (

@@ -1,9 +1,12 @@
-"""Gamma-function machinery: log-gamma, balanced quotients, odd-base products.
+"""Gamma-function machinery: log-gamma, balanced quotients, odd-base closed forms.
 
 A balanced quotient prod_{n>=0} (n+a_1)...(n+a_d) / ((n+b_1)...(n+b_d)) with
 sum(a) = sum(b) converges to Gamma(b_1)...Gamma(b_d) / (Gamma(a_1)...Gamma(a_d)).
-That limit evaluates the alternating-exponent products over odd bases once
-consecutive indices are paired into absolutely convergent factors.
+That limit gives the closed forms of the alternating-exponent products over
+odd bases (``alternating_pair_quotient``, ``odd_base_products``).  The
+products themselves are evaluated like any other: in an odd base the
+exponent (-1)**n has the digit recursion v(k) = (-1)**k, so
+``products.evaluate_moments`` takes them.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ __all__ = [
     "alternating_pair_quotient",
     "OddBaseProducts",
     "odd_base_products",
-    "AlternatingSideReport",
-    "verify_alternating_products",
 ]
 
 def log_gamma(x: float) -> float:
@@ -165,67 +166,3 @@ def odd_base_products(base: int) -> OddBaseProducts:
     even_k = pi * sqrt(b) * ratio / 2.0
     odd_k = 1.0 / (sqrt(b) * ratio)
     return OddBaseProducts(even_k, odd_k, even_k * odd_k)
-
-
-@dataclass(frozen=True)
-class AlternatingSideReport:
-    base: int
-    terms: int
-    even_computed: float
-    even_expected: float
-    odd_computed: float
-    odd_expected: float
-    max_rel_err: float
-    rewrite_dev: float  # odd_k vs the n >= 0 form 1/sqrt(B) with n = 0 factored out
-    passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def verify_alternating_products(base: int, n_terms: int) -> AlternatingSideReport:
-    """Truncate the alternating products over n >= 1 and compare to closed forms.
-
-    Consecutive indices n = 2m-1, 2m are paired before truncation, which makes
-    each side absolutely convergent; each must match within a relative 1e-4.
-    Also checks that the odd-residue closed form is the n >= 0 alternating
-    product 1/sqrt(B) with its n = 0 factor removed.
-    """
-    b = _check_odd_base(base)
-    if n_terms < 2 or n_terms % 2:
-        raise ValidationError(f"n_terms must be even and >= 2, got {n_terms}")
-    closed = odd_base_products(b)
-
-    ms = np.arange(1, n_terms // 2 + 1, dtype=np.float64)
-    sides = {}
-    for parity in (0, 1):
-        total = np.zeros(ms.shape, dtype=np.float64)
-        for k in range(parity, b, 2):
-            # exponent (-1)**n: -a(2m-1) + a(2m), absolutely convergent pairs
-            total += np.log1p(1.0 / (b * (2 * ms - 1) + k)) - np.log1p(
-                1.0 / (b * 2 * ms + k)
-            )
-        sides[parity] = math.exp(fsum(total.tolist()))
-
-    even_c, odd_c = sides[0], sides[1]
-    rel = max(
-        abs(even_c - closed.even_k) / closed.even_k,
-        abs(odd_c - closed.odd_k) / closed.odd_k,
-    )
-    # n = 0 contributes prod_{k odd} k/(k+1) = C(B-1,(B-1)/2) / 2**(B-1)
-    head = math.exp(
-        fsum(math.log(k / (k + 1.0)) for k in range(1, b, 2))
-    )
-    rewrite_dev = abs(closed.odd_k - (1.0 / sqrt(b)) / head)
-    passed = rel <= 1e-4 and rewrite_dev <= 1e-12
-    return AlternatingSideReport(
-        base=b,
-        terms=n_terms,
-        even_computed=even_c,
-        even_expected=closed.even_k,
-        odd_computed=odd_c,
-        odd_expected=closed.odd_k,
-        max_rel_err=rel,
-        rewrite_dev=rewrite_dev,
-        passed=passed,
-    )

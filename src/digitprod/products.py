@@ -388,19 +388,23 @@ def _moment_level(spec: ProductSpec, n_terms: int) -> int:
     return level
 
 
-def _solve_tail(mat: list[list[complex]], rhs: list, bound: bool = False) -> list:
+def _solve_tail(mat: list[list[complex]], rhs: list, first: complex,
+                bound: bool = False) -> list:
     """x with (I - mat) x = rhs for an upper-triangular mat, by back-substitution.
 
-    With ``bound`` the result is the componentwise bound on |x| that follows
-    from bounds on |rhs|: each step takes |mat| and |1 - mat[r][r]|.
+    ``first`` is the first diagonal entry of I - mat, 1 - mat[0][0], which
+    the caller computes without the cancellation of that difference.  With
+    ``bound`` the result is the componentwise bound on |x| that follows from
+    bounds on |rhs|: each step takes |mat| and the modulus of the diagonal.
     """
     x = [0.0] * len(rhs)
     for r in reversed(range(len(rhs))):
         row = zip(mat[r][r + 1:], x[r + 1:])
+        diag = first if r == 0 else 1 - mat[r][r]
         if bound:
-            x[r] = (rhs[r] + sum(abs(e) * xs for e, xs in row)) / abs(1 - mat[r][r])
+            x[r] = (rhs[r] + sum(abs(e) * xs for e, xs in row)) / abs(diag)
         else:
-            x[r] = (rhs[r] + sum(e * xs for e, xs in row)) / (1 - mat[r][r])
+            x[r] = (rhs[r] + sum(e * xs for e, xs in row)) / diag
     return x
 
 
@@ -436,12 +440,18 @@ def _moments_at_level(spec: ProductSpec, v: tuple[complex, ...], level: int) -> 
     m = [sum(vj * j**i for j, vj in enumerate(v)) for i in range(order)]
     mat = [[(-1) ** (s - r) * comb(s - 1, s - r) * m[s - r] / base**s if s >= r else 0j
             for s in range(1, order + 1)] for r in range(1, order + 1)]
+    # 1 - m_0 / B cancels as sum v nears B; each 1 - v(j) is exact there
+    first = _fsum_c(1 - vj for vj in v) / base
+    # its relative rounding: u |1 - Re v(j)| in each difference (the
+    # imaginary parts negate exactly), then u in the sum and in the division
+    first_err = _UNIT * (fsum(abs(1 - vj.real) for vj in v) / (base * abs(first)) + 3)
     weights = [
         sum(f.multiplier * ((f.residue + 1) ** s - f.residue**s) for f in factors)
         * (-1) ** s / (s * base**s)
         for s in range(1, order + 1)
     ]
-    tail = _fsum_c(c * t for c, t in zip(weights, _solve_tail(mat, moments)))
+    tail_moments = _solve_tail(mat, moments, first)
+    tail = _fsum_c(c * t for c, t in zip(weights, tail_moments))
     log_value = head_log + tail
 
     # truncation, with |u| <= 1: the Lagrange remainders of the order-R
@@ -457,16 +467,18 @@ def _moments_at_level(spec: ProductSpec, v: tuple[complex, ...], level: int) -> 
     moment_trunc = [comb(order, order + 1 - r) * mu[order + 1 - r] * z / base ** (order + 1)
                     for r in range(1, order + 1)]
     # rounding: pairwise sums of at most B**(L0+1) products with a few
-    # roundings each, R more in the powers and the solve
+    # roundings each, R more in the powers and the solve; the rounding of
+    # ``first`` moves only the first tail moment, by first_err times it
     head_abs = _abs_log_sum(spec, head)
     roundings = top.bit_length() + 20
-    tail_abs = _solve_tail(mat, moments_abs, bound=True)
-    tail_err = _solve_tail(mat, moment_trunc, bound=True)
+    tail_abs = _solve_tail(mat, moments_abs, first, bound=True)
+    tail_err = _solve_tail(mat, moment_trunc, first, bound=True)
     err = (
         trunc
         + sum(abs(c) * e for c, e in zip(weights, tail_err))
         + roundings * _UNIT * head_abs
         + (roundings + 4 * order) * _UNIT * sum(abs(c) * t for c, t in zip(weights, tail_abs))
+        + first_err * abs(weights[0] * tail_moments[0])
     )
     return EvalResult(log_value, err, top, "moments")
 

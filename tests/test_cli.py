@@ -12,7 +12,7 @@ from digitprod.cli import main, parse_complex, parse_spec, render_complex, rende
 from digitprod.digits import DigitStat, _stat_record, digits_of
 from digitprod.errors import ParseError, ValidationError
 from digitprod.identities import catalog, r_product_spec
-from digitprod.products import Factor, ProductSpec
+from digitprod.products import Factor, ProductSpec, evaluate_moments
 from digitprod.sequences import DigitStatPower, PeriodicPower, StronglyMultiplicative
 
 
@@ -646,11 +646,57 @@ def test_cli_gamma_quotient_bad_input_exit_2(capsys, quotient):
 
 
 def test_cli_gamma_odd_base(capsys):
-    code, out = run(capsys, ["gamma", "--odd-base", "3", "--terms", "100000"])
+    # --terms is a moment-method budget; terms reports the 3**7 used
+    code, out = run(capsys, ["gamma", "--odd-base", "3", "--terms", "1000000"])
     assert code == 0
     payload = json.loads(out)
     assert payload["wallis"] == pytest.approx(1.5707963267948966, rel=1e-12)
     assert payload["pass"] is True
+    assert payload["terms"] == 3**7
+    assert payload["max_rel_err"] <= 1e-15
+    assert payload["even_k_computed"] == pytest.approx(math.pi * math.sqrt(3) / 4, rel=1e-15)
+    assert payload["odd_k_computed"] == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+
+
+def _odd_base_side(base, parity):
+    # prod over k = parity, parity + 2, ... < B of prod_{n >= 1}
+    # ((B n + k) / (B n + k + 1))**(-1)**n
+    return ProductSpec(base, [Factor(k, 1, 1) for k in range(parity, base, 2)],
+                       PeriodicPower(base, 2, 1))
+
+
+@pytest.mark.parametrize("base", [*range(3, 22, 2), 101])
+def test_cli_gamma_odd_base_through_the_moments(capsys, base):
+    code, out = run(capsys, ["gamma", "--odd-base", str(base), "--terms", str(10**6)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["max_rel_err"] <= 1e-15
+    for parity, key in ((0, "even_k"), (1, "odd_k")):
+        side = evaluate_moments(_odd_base_side(base, parity), 10**6)
+        assert side.terms == payload["terms"]
+        assert side.value.real == payload[f"{key}_computed"]
+        assert abs(side.log_value - math.log(payload[key])) <= side.err_est
+
+
+def test_cli_gamma_odd_base_budget_below_the_moment_method_exit_2(capsys):
+    code = main(["gamma", "--odd-base", "3", "--terms", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n_terms = 2 is below 9, the least budget of the moment "
+        "method in base 3\n")
+
+
+def test_cli_gamma_odd_base_truncating_budget_exit_1(capsys):
+    # 9 = 3**2 is accepted, but its tail bound leaves a relative 8.7e-6
+    code, out = run(capsys, ["gamma", "--odd-base", "3", "--terms", "9"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["terms"] == 9
+    assert 1e-12 < payload["max_rel_err"] < 1e-4
 
 
 @pytest.mark.slow

@@ -1,5 +1,5 @@
 import math
-from math import pi
+from math import fsum, log1p, pi
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from digitprod.gammaproducts import (
     odd_base_products,
     partial_quotient,
     quotient_limit,
-    verify_alternating_products,
     wallis_quotient,
 )
 
@@ -139,9 +138,10 @@ def test_odd_base_rejects_even():
         odd_base_products(4)
 
 
-def test_verify_alternating_products():
-    rep = verify_alternating_products(5, 2 * 10**5)
-    assert rep.passed
-    assert rep.rewrite_dev <= 1e-12
-    with pytest.raises(ValidationError):
-        verify_alternating_products(3, 101)
+@pytest.mark.parametrize("base", [3, 5, 61, 63, 101, 1001, 2001, 10**6 + 1])
+def test_odd_k_is_the_product_from_n_0_without_its_first_factor(base):
+    # prod_{n >= 0} prod_{k odd < B} ((B n + k) / (B n + k + 1))**(-1)**n
+    # = 1/sqrt(B), and its n = 0 factor is prod_{k odd < B} k / (k + 1)
+    head = fsum(-log1p(1 / k) for k in range(1, base, 2))
+    dev = math.log(odd_base_products(base).odd_k) + head + 0.5 * math.log(base)
+    assert abs(math.expm1(dev)) <= 1e-12

@@ -6,6 +6,8 @@ closed forms; the direct sum at 10**6 is the independent low-precision oracle.
 """
 
 import cmath
+import math
+import random
 import re
 import time
 
@@ -168,6 +170,21 @@ def test_agrees_with_the_direct_sum(spec):
     direct = evaluate_abel(spec, 10**6)
     gap = abs(evaluate_moments(spec, 10**6).log_value - direct.log_value)
     assert gap <= direct.err_est
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_err_est_bounds_as_sum_v_nears_the_base(base):
+    # u = w**count_d(n) with w = 1 - eps has sum v = B - eps, where the
+    # diagonal 1 - m_0 / B cancels.  With the exact exponent 1 - w on factor
+    # d alone, the paper's trick telescopes the product to log P = -log B
+    rng = random.Random(base)
+    for _ in range(20):
+        d = rng.randint(1, base - 1)
+        w = 1.0 - 10.0 ** rng.uniform(-6, -2)
+        spec = ProductSpec(base, [Factor(d, 1.0 - w)],
+                           DigitStatPower(base, w, DigitStat.count(d)))
+        res = evaluate_moments(spec, rng.choice([10**3, 10**4, 10**5]))
+        assert abs(res.log_value + math.log(base)) <= res.err_est, (d, w)
 
 
 @pytest.mark.parametrize("n_terms", [10**4, 10**5, 10**6])
