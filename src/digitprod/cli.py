@@ -390,7 +390,6 @@ def _cmd_summatory(args) -> int:
     seq = parsed.seq if isinstance(parsed, ProductSpec) else parsed
     check_nonnegative(args.terms)
     profile = recursion_profile(seq, base=base)
-    profile.require_unit_bounds()
     checkpoints = []
     n = base
     while n <= args.terms:

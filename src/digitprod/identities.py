@@ -468,26 +468,16 @@ class VerifySummary:
         return self.all_passed
 
 
-def verify_all(
-    n_terms: int = DEFAULT_BUDGET,
-    names: list[str] | None = None,
-    threads: int = 1,
-) -> VerifySummary:
-    """Verify the whole catalog (or a named subset).
+def verify_all(n_terms: int = DEFAULT_BUDGET, threads: int = 1) -> VerifySummary:
+    """Verify the whole catalog.
 
-    The distinct (spec, N) part evaluations of the selected claims are listed
-    up front and each runs once, spread over ``threads`` workers (0 means
+    The distinct (spec, N) part evaluations of the claims are listed up
+    front and each runs once, spread over ``threads`` workers (0 means
     min(8, CPUs)) with one thread inside each evaluation.  Reports follow the
     catalog order and are bit-identical for any thread count.
     """
     threads = resolve_threads(threads)
     claims = catalog()
-    if names:
-        wanted = set(names)
-        unknown = wanted - {c.name for c in claims}
-        if unknown:
-            raise ValidationError(f"unknown claims: {sorted(unknown)}")
-        claims = [c for c in claims if c.name in wanted]
     t0 = time.perf_counter()
     keys = _part_keys(claims, n_terms)
     timed = map_ordered(_evaluate_timed, keys, threads)

@@ -357,7 +357,6 @@ def evaluate_abel(spec: ProductSpec, n_terms: int, threads: int = 1) -> EvalResu
         raise ValidationError(f"n_terms must be >= base, got {n_terms}")
     n = _round_up_terms(int(n_terms), base)
     profile = recursion_profile(spec.seq, base=base)
-    profile.require_unit_bounds()
     log_sum, f_end, _ = _engine(spec, n, threads=threads)
     err = (_tail_bound(spec, profile, f_end, n)
            + (n.bit_length() + 20) * _UNIT * _abs_log_sum(spec, n))
@@ -499,5 +498,4 @@ def evaluate_moments(spec: ProductSpec, n_terms: int) -> EvalResult:
     _round_up_terms(n_terms, spec.base)
     level = _moment_level(spec, n_terms)
     profile = recursion_profile(spec.seq, base=spec.base)
-    profile.require_unit_bounds()
     return _moments_at_level(spec, profile.v, level)

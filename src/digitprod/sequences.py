@@ -26,8 +26,9 @@ only one longer than allowed, it refuses before computing any value.  A
 digit family in a power of its own base has W = 0: its type proves the
 recursion, so only u(0..B-1) and the row u(B*n0 + k) that v is read from
 are computed, and nothing is checked.  A periodic family's recursion is
-checked on [0, W].  So every ``RecursionProfile`` is a proof, and no
-consumer checks it.
+checked on [0, W].  A ``RecursionProfile`` cannot be built with |sum v|
+>= B or with values above modulus 1, so every profile is a proof of the
+hypotheses the products and sums need, and no consumer checks them.
 """
 
 from __future__ import annotations
@@ -341,23 +342,35 @@ class RecursionProfile:
 
     The fields are what ``recursion_profile`` read: the multipliers ``v``,
     the seed ``n0`` they were read at (the first n in [1, B) with u(n) != 0,
-    or 1 when u vanishes there), whether |u| <= 1 held on the values read,
-    and the ``head`` u(0), ..., u(B-1), which the recursion (n >= 1) does
-    not determine: with |v(k)| <= 1 the head bounds every |u(n)|.  The rest
-    derives from these, so it cannot disagree with them: ``head_prefix``,
-    the partial sums F(0), ..., F(B) of u; ``v_prefix``, the partial sums
-    (0, v(0), v(0)+v(1), ...); ``v_total``, their last entry, whose modulus
-    stays below ``base`` for the products downstream to converge;
-    ``alpha``, the growth exponent of the partial sums of u, 1/2 when
-    |v_total| <= 1 within CHECK_TOL, else log|v_total| / log base; and
-    ``v_bounded``.
+    or 1 when u vanishes there), and the ``head`` u(0), ..., u(B-1), which
+    the recursion (n >= 1) does not determine.  Construction enforces the
+    hypotheses of the products and sums built on it, so every consumer may
+    rely on them: ConvergenceHypothesisViolated unless |sum v(k)| < B, and
+    ValidationError unless every |u(k)|, k < B, and every |v(k)| is at most
+    1 within CHECK_TOL; with |v(k)| <= 1 the head bounds every |u(n)|.  The
+    rest derives from the fields, so it cannot disagree with them:
+    ``head_prefix``, the partial sums F(0), ..., F(B) of u; ``v_prefix``,
+    the partial sums (0, v(0), v(0)+v(1), ...); ``v_total``, their last
+    entry; and ``alpha``, the growth exponent of the partial sums of u, 1/2
+    when |v_total| <= 1 within CHECK_TOL, else log|v_total| / log base.
     """
 
     base: int
     v: tuple[complex, ...]
     n0: int
-    u_bounded: bool
     head: tuple[complex, ...]
+
+    def __post_init__(self):
+        total = abs(self.v_total)
+        if total >= self.base - 1e-9:
+            raise ConvergenceHypothesisViolated(
+                f"|sum of v(k)| = {total:.6g} >= base {self.base}; "
+                "the associated products may diverge"
+            )
+        if not all(abs(x) <= 1.0 + CHECK_TOL for x in self.head):
+            raise ValidationError("sequence values exceed modulus 1")
+        if not all(abs(x) <= 1.0 + CHECK_TOL for x in self.v):
+            raise ValidationError("recursion multipliers v(k) exceed modulus 1")
 
     @cached_property
     def head_prefix(self) -> tuple[complex, ...]:
@@ -375,16 +388,6 @@ class RecursionProfile:
     def alpha(self) -> float:
         total = abs(self.v_total)
         return 0.5 if total <= 1.0 + CHECK_TOL else log(total) / log(self.base)
-
-    @property
-    def v_bounded(self) -> bool:
-        return all(abs(val) <= 1.0 + CHECK_TOL for val in self.v)
-
-    def require_unit_bounds(self) -> None:
-        if not self.u_bounded:
-            raise ValidationError("sequence values exceed modulus 1")
-        if not self.v_bounded:
-            raise ValidationError("recursion multipliers v(k) exceed modulus 1")
 
 
 def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
@@ -407,18 +410,15 @@ def _certifying_window(seq: ExponentSeq, base: int) -> int | None:
     return base * (period + 1) + base - 1
 
 
-def _read(seq: ExponentSeq, ns: np.ndarray) -> tuple[np.ndarray, bool]:
-    """seq.block(ns) and whether |u| <= 1 on it; ValidationError at the
-    first value that is not finite."""
+def _read(seq: ExponentSeq, ns: np.ndarray) -> np.ndarray:
+    """seq.block(ns); ValidationError at the first value that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         u = seq.block(ns)
-        top = np.abs(u).max()  # inf or nan if a value is not finite
-    if not np.isfinite(top):  # or a finite complex value whose modulus overflows
-        not_finite = np.flatnonzero(~np.isfinite(u))
-        if not_finite.size:
-            i = not_finite[0]
-            raise ValidationError(f"sequence value at n={ns[i]} is not finite (u = {u[i]})")
-    return u, bool(top <= 1.0 + CHECK_TOL)
+    not_finite = np.flatnonzero(~np.isfinite(u))
+    if not_finite.size:
+        i = not_finite[0]
+        raise ValidationError(f"sequence value at n={ns[i]} is not finite (u = {u[i]})")
+    return u
 
 
 def recursion_profile(
@@ -441,9 +441,10 @@ def recursion_profile(
     reads only u(0), ..., u(B-1) and u(B*n0 + k), k < B, and checks no
     recursion: its type proves it.  A periodic family reads [0, W], which
     holds every u(B*n0 + k), and checks the recursion on it.  Raises
-    ValidationError at the first value read that is not finite,
-    HypothesisFailed when the recursion breaks on [0, W], and
-    ConvergenceHypothesisViolated when |sum v(k)| >= base.
+    ValidationError at the first value read that is not finite and
+    HypothesisFailed when the recursion breaks on [0, W]; then the
+    profile's construction refuses |sum v(k)| >= base and values of the
+    head or of v above modulus 1 (``RecursionProfile``).
     """
     b = check_base(base if base is not None else seq.base)
     if limit is not None:
@@ -461,7 +462,7 @@ def recursion_profile(
             f"and proving it for every n >= 1 needs [0, {window}]"
         ))
 
-    u, u_bounded = _read(seq, np.arange(window + 1 if window else b, dtype=np.int64))
+    u = _read(seq, np.arange(window + 1 if window else b, dtype=np.int64))
     n0 = next((n for n in range(1, b) if u[n] != 0), None)
     if n0 is None:  # u(n) = 0 for every n >= 1, if the recursion holds
         n0, v = 1, (0j,) * b
@@ -469,8 +470,7 @@ def recursion_profile(
         if window:
             row = u[b * n0:b * n0 + b]
         else:
-            row, row_bounded = _read(seq, b * n0 + np.arange(b, dtype=np.int64))
-            u_bounded = u_bounded and row_bounded
+            row = _read(seq, b * n0 + np.arange(b, dtype=np.int64))
         with np.errstate(over="ignore"):  # a v(k) that overflows reaches the checks as inf
             v = tuple(complex(x / u[n0]) for x in row)
 
@@ -484,12 +484,4 @@ def recursion_profile(
             i, k = broken[0]
             raise HypothesisFailed(int(ns[i]), int(k), float(dev[i, k]))
 
-    profile = RecursionProfile(base=b, v=v, n0=n0, u_bounded=u_bounded,
-                               head=_as_complex_tuple(u[:b]))
-    total = abs(profile.v_total)
-    if total >= b - 1e-9:
-        raise ConvergenceHypothesisViolated(
-            f"|sum of v(k)| = {total:.6g} >= base {b}; "
-            "the associated products may diverge"
-        )
-    return profile
+    return RecursionProfile(base=b, v=v, n0=n0, head=_as_complex_tuple(u[:b]))

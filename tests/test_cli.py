@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from digitprod.digits import DigitStat, _stat_record, digits_of
 from digitprod.errors import ParseError, ValidationError
 from digitprod.identities import catalog, r_product_spec
 from digitprod.products import Factor, ProductSpec, evaluate_moments
-from digitprod.sequences import DigitStatPower, PeriodicPower, StronglyMultiplicative
+from digitprod.sequences import (DigitStatPower, PeriodicPower, SignedResidue,
+                                 StronglyMultiplicative, thue_morse_seq)
 
 
 def run(capsys, argv):
@@ -83,6 +85,7 @@ def test_parse_bare_sequence():
 def test_parse_table():
     seq = parse_spec("base=3; exponent=table(0.5,-0.5)")
     assert seq == StronglyMultiplicative(3, (0.5, -0.5))
+    assert render_spec(seq) == "base=3; exponent=table(0.5,-0.5)"
 
 
 def test_parse_errors():
@@ -98,6 +101,21 @@ def test_parse_errors():
     ):
         with pytest.raises(ParseError):
             parse_spec(text)
+    # each refusal branch of the grammar, by its message
+    for text, message in (
+        ("base=2; exponent=digit_sum_pow(1", "bad exponent specification"),
+        ("base=3; exponent=count_digit_pow(-1,x)", "bad digit 'x'"),
+        ("base=3; exponent=count_set_pow(-1,1|2)", "expected J=j1|j2|..."),
+        ("base=3; exponent=count_set_pow(-1,J=1|x)", "bad digit set 'J=1|x'"),
+        ("base=5; exponent=periodic_pow(4,one)", "bad periodic_pow arguments '4,one'"),
+        ("base=3; exponent=table()", "table needs at least one value"),
+        ("base=2; exponent=thue_morse; factors=1,,2", "empty factor entry"),
+        ("base=2; exponent=thue_morse; factors", "expected key=value, got 'factors'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_spec(text)
+    # an empty segment is skipped
+    assert parse_spec("base=2;; exponent=thue_morse") == thue_morse_seq()
     with pytest.raises(ValidationError):
         parse_spec("base=1; exponent=thue_morse")
     with pytest.raises(ValidationError):
@@ -129,6 +147,8 @@ def test_render_thue_morse_under_another_base(base):
 def test_render_refuses_what_the_grammar_cannot_state():
     with pytest.raises(ValidationError, match="start"):
         render_spec(r_product_spec())
+    with pytest.raises(ValidationError, match="no grammar for sequence SignedResidue"):
+        render_spec(SignedResidue(3, (1.0, -1.0)))
     with pytest.raises(ValidationError, match="base-3"):
         render_spec(
             ProductSpec(9, [Factor(1)], DigitStatPower(3, 0.5, DigitStat.digit_sum()))

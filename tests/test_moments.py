@@ -199,6 +199,38 @@ def test_abel_err_est_is_honest_and_tight(spec, n_terms, references):
         assert res.err_est <= 200 * true_err
 
 
+def _late_start_case(rng):
+    """A product in base 2-10 with one factor starting in (N, 30 N], N the
+    abel truncation, and half the time a second factor from its default."""
+    base = rng.randint(2, 10)
+    w = cmath.rect(rng.random() ** 0.5, rng.uniform(-cmath.pi, cmath.pi))
+    if rng.random() < 0.5:
+        seq = DigitStatPower(base, w, DigitStat.digit_sum())
+    else:
+        w = rng.choice((w, -1.0, 0.0))
+        seq = DigitStatPower(base, w, DigitStat.count(rng.randrange(base)))
+    n = base * rng.randint(1, 300)
+    k = rng.randrange(base)
+    c = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+    factors = [Factor(k, c, rng.randint(n + 1, 30 * n))]
+    if rng.random() < 0.5:
+        factors.append(Factor(rng.choice([j for j in range(base) if j != k]), rng.uniform(-2, 2)))
+    return ProductSpec(base, factors, seq), n
+
+
+def test_abel_bound_covers_a_factor_starting_beyond_n():
+    # the factor's whole series is tail: its bound starts from the partial
+    # sums at its start, not at F(N); the two evaluators' bounds must cover
+    # the distance between them
+    rng = random.Random("abel-late-start")
+    for _ in range(30):
+        spec, n = _late_start_case(rng)
+        abel = evaluate_abel(spec, n)
+        assert abel.terms == n < spec.factors[0].start
+        moments = evaluate_moments(spec, 10**7)
+        assert abs(abel.log_value - moments.log_value) <= abel.err_est + moments.err_est, spec
+
+
 def test_budget_picks_the_level():
     spec = ProductSpec(3, [Factor(1, 1.0)], DigitStatPower(3, -1.0, DigitStat.digit_sum()))
     assert evaluate_moments(spec, 10**6).terms == 3**7  # 3**6 >= 256

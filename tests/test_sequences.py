@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import random
 import re
 import sys
@@ -22,6 +23,7 @@ from digitprod.sequences import (
     CHECK_TOL,
     DigitStatPower,
     PeriodicPower,
+    RecursionProfile,
     SignedResidue,
     StronglyMultiplicative,
     _int_power_table,
@@ -347,7 +349,7 @@ def test_profile_no_seed():
     # the type proves u(n) = 0 for every n >= 1
     silent = StronglyMultiplicative(3, (0.0, 0.0))
     prof = recursion_profile(silent, 4096)
-    assert (prof.n0, prof.v, prof.u_bounded) == (1, (0j,) * 3, True)
+    assert (prof.n0, prof.v) == (1, (0j,) * 3)
     assert prof.v_total == 0 and prof.alpha == 0.5
 
 
@@ -509,10 +511,14 @@ def test_recursion_rule_is_relative_above_modulus_one():
     assert recursion_breaks(float("inf"), float("inf"))  # an overflowing product
     devs, sizes = np.array([2e-12, 2e-12, 2e-8]), np.array([1.0, 1e4, 1e4])
     assert recursion_breaks(devs, sizes).tolist() == [True, False, True]
-    # |u| reaches 2.9**12 on [0, 4096]; u(2n + 1) and u(n) * v(1) round apart
-    # by 1.8e-12 at n = 255, 1.3e-16 of |u(n) * v(1)| = 2.9**9
-    prof = recursion_profile(StronglyMultiplicative(2, (-2.9,)), 4096)
-    assert not prof.u_bounded
+    # 1e4 * omega**n, omega**3 = 1, has the base-4 recursion v(k) = omega**k;
+    # on its window u(4n + k) and u(n) * v(k) round apart by 7.5e-12, 7.5e-16
+    # of |u|.  So the recursion holds, and the unit bound refuses it (exit 2),
+    # not a broken recursion (exit 3)
+    omega = cmath.exp(2j * cmath.pi / 3)
+    table = SignedResidue(4, [1e4 * omega**n for n in range(3)])
+    with pytest.raises(ValidationError, match="sequence values exceed modulus 1"):
+        recursion_profile(table, 4096)
 
 
 _COMPLEX_TABLES = [
@@ -537,7 +543,7 @@ def test_complex_table_block_matches_value_bit_for_bit(values):
 
 
 def _old_window_profile(seq, base):
-    """(v, n0, u_bounded) as the window [0, max(4096, B*(B+1))] gave them
+    """(v, n0, |u| <= 1) as the window [0, max(4096, B*(B+1))] gave them
     before the sequence's type proved the recursion: every value of the
     window through block(), v read at the first nonzero u(n0), n0 in
     [1, B), and the recursion and |u| <= 1 checked on all of it.  None where
@@ -561,9 +567,14 @@ def _old_window_profile(seq, base):
 def _assert_matches_the_old_window(seq, base):
     old = _old_window_profile(seq, base)
     assert old is not None
+    # a profile exists exactly where the window found |u| <= 1
+    if not old[2]:
+        with pytest.raises(ValidationError, match="exceed modulus 1"):
+            recursion_profile(seq, base=base)
+        return
     prof = recursion_profile(seq, base=base)
     # v bit for bit, zero signs included
-    assert (repr(prof.v), prof.n0, prof.u_bounded) == (repr(old[0]),) + old[1:]
+    assert (repr(prof.v), prof.n0) == (repr(old[0]), old[1])
     assert recursion_profile(seq, max(4096, base * (base + 1)), base=base) == prof
 
 
@@ -726,11 +737,28 @@ def test_profile_base_override():
 
 
 def test_profile_flags_unbounded_table():
-    seq = StronglyMultiplicative(2, (-2.0,))  # |u| grows, but sum v = -1
-    prof = recursion_profile(seq, 4096)
-    assert not prof.u_bounded
-    with pytest.raises(Exception):
-        prof.require_unit_bounds()
+    # |u| grows in each, but sum v = -1, 1 and 1 < B.  In base 3, sum v = 1
+    # would read as alpha = 1/2, yet F((3**j - 1) / 2) = 2**j - 1 outgrows
+    # N**(1/2): 2.4 N**(1/2) at j = 4, 25 N**(1/2) at j = 20
+    for seq in (StronglyMultiplicative(2, (-2.0,)), StronglyMultiplicative(2, (-2.9,)),
+                StronglyMultiplicative(3, (2, -2))):
+        with pytest.raises(ValidationError, match="sequence values exceed modulus 1"):
+            recursion_profile(seq, 4096)
+
+
+def test_a_profile_cannot_be_built_outside_the_hypotheses():
+    # by hand or by dataclasses.replace: |sum v| < B first, then |u(k)| <= 1
+    # on the head and |v(k)| <= 1, each within CHECK_TOL; nan is not bounded
+    good = recursion_profile(thue_morse_seq())
+    with pytest.raises(ConvergenceHypothesisViolated):
+        RecursionProfile(base=2, v=(1.5 + 0j, 0.5 + 0j), n0=1, head=(2 + 0j, 2 + 0j))
+    with pytest.raises(ValidationError, match="sequence values exceed modulus 1"):
+        dataclasses.replace(good, head=(1 + 0j, -1.5 + 0j), v=(1.5 + 0j, -1 + 0j))
+    for v in ((1.5 + 0j, -1 + 0j), (complex("nan"), -1 + 0j)):
+        with pytest.raises(ValidationError, match=re.escape("multipliers v(k) exceed modulus 1")):
+            dataclasses.replace(good, v=v)
+    edge = 1 + CHECK_TOL / 2
+    assert dataclasses.replace(good, head=(edge + 0j, -edge + 0j)).head[0] == edge
 
 
 @given(st.integers(min_value=0, max_value=10**9))

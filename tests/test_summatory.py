@@ -218,9 +218,8 @@ def test_profile_mismatch_detected():
     good = recursion_profile(tm, 4096)
     bad = RecursionProfile(
         base=good.base,
-        v=(complex(1.0), complex(1.0)),  # wrong: v(1) should be -1
+        v=(complex(1.0), complex(0.5)),  # wrong: v(1) should be -1
         n0=good.n0,
-        u_bounded=True,
         head=good.head,
     )
     with pytest.raises(ProfileMismatch):
@@ -235,19 +234,6 @@ def test_head_values_are_read_once_per_query(seq, base):
     counted = _CountingSeq(seq)
     partial_sum_recursive(prof, counted, prof.base**40)
     assert counted.calls == 3 * 4
-
-
-def test_spot_check_is_relative_above_modulus_one():
-    # |u| reaches 2.9**52 below 2**53; u(B*m + k) and u(m) * v(k) multiply
-    # the same factors in another order, so they round apart by far more
-    # than 1e-12 but by about 1e-16 of their size
-    seq = StronglyMultiplicative(2, (-2.9,))
-    prof = recursion_profile(seq, 4096)
-    n = 2**53 - 12345
-    assert math.isfinite(abs(partial_sum_recursive(prof, seq, n)))
-    bad = dataclasses.replace(prof, v=(prof.v[0], prof.v[1] * (1 + 1e-9)))
-    with pytest.raises(ProfileMismatch):
-        partial_sum_recursive(bad, seq, n)
 
 
 def test_profile_sums_cannot_disagree_with_v():
